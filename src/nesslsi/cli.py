@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constants import constants_report, harnack_factor, hypercontractivity_bound
+from .constants import ConstantsReport, constants_report, harnack_factor, hypercontractivity_bound
 from .estimators import (
     EstimatorDiverged,
     UnstableLogError,
@@ -140,30 +140,37 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _constants_from(cfg: dict) -> ConstantsReport | None:
+    """The constants report of the config's ``constants`` block, or None
+    when it has none; unknown keys and bad values are config errors."""
+    if "constants" not in cfg:
+        return None
+    block = dict(cfg["constants"])
+    bad = set(block) - {"L", "rho", "R", "sigma", "d", "alpha_ext", "sup_inner"}
+    if bad:
+        raise ConfigError(f"unknown constants keys: {sorted(bad)}")
+    try:
+        return constants_report(
+            L=float(block.get("L", 0.0)),
+            rho=float(block["rho"]),
+            R=float(block.get("R", 0.0)),
+            sigma=float(block["sigma"]),
+            d=int(block.get("d", 1)),
+            alpha_ext=float(block.get("alpha_ext", 1.0)),
+            sup_inner=block.get("sup_inner"),
+        )
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad constants block: {exc}") from exc
+
+
 def cmd_constants(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool) -> int:
     report: dict = {"config": cfg, "versions": _versions()}
     if "constants" not in cfg and "metric" not in cfg:
         raise ConfigError("constants command needs a 'constants' and/or 'metric' block")
+    rep = _constants_from(cfg)
     if dry_run:
         return EXIT_OK
-    if "constants" in cfg:
-        block = dict(cfg["constants"])
-        allowed = {"L", "rho", "R", "sigma", "d", "alpha_ext", "sup_inner"}
-        bad = set(block) - allowed
-        if bad:
-            raise ConfigError(f"unknown constants keys: {sorted(bad)}")
-        try:
-            rep = constants_report(
-                L=float(block.get("L", 0.0)),
-                rho=float(block["rho"]),
-                R=float(block.get("R", 0.0)),
-                sigma=float(block["sigma"]),
-                d=int(block.get("d", 1)),
-                alpha_ext=float(block.get("alpha_ext", 1.0)),
-                sup_inner=block.get("sup_inner"),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad constants block: {exc}") from exc
+    if rep is not None:
         report["constants"] = rep.to_json()
         grid = []
         k_w = rep.L * rep.R
@@ -365,6 +372,7 @@ def _run_estimator(name: str, params: dict, model, sim: SimConfig, cfg: dict) ->
 def cmd_verify(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
                threads: int) -> int:
     sim = _sim_config(cfg, seed)
+    constants = _constants_from(cfg)
     batch = cfg.get("estimators")
     if not batch:
         raise ConfigError("verify command needs a non-empty 'estimators' block")
@@ -374,8 +382,6 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
                 raise ConfigError(f"unknown estimator {name!r}")
         return EXIT_OK
     model = _model_from(cfg) if cfg.get("scenario") != "competition" else None
-    if cfg.get("scenario") == "competition":
-        model = None
 
     t_start = time.perf_counter()
     records = []
@@ -411,20 +417,8 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
         },
         "wall_clock_s": time.perf_counter() - t_start,
     }
-    if "constants" in cfg:
-        block = cfg["constants"]
-        try:
-            report["constants"] = constants_report(
-                L=float(block.get("L", 0.0)),
-                rho=float(block["rho"]),
-                R=float(block.get("R", 0.0)),
-                sigma=float(block["sigma"]),
-                d=int(block.get("d", 1)),
-                alpha_ext=float(block.get("alpha_ext", 1.0)),
-                sup_inner=block.get("sup_inner"),
-            ).to_json()
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad constants block: {exc}") from exc
+    if constants is not None:
+        report["constants"] = constants.to_json()
     _write_json(out_dir, "verify_report.json", report)
     for r in records:
         series = r.get("series")

@@ -32,6 +32,9 @@ from .simulate import (
     CH_MAIN,
     SdeSystem,
     SimConfig,
+    _as_batch,
+    _em_step,
+    _integrate,
     derive_seed,
     em_path,
     kinetic_coupled_pair,
@@ -47,7 +50,6 @@ __all__ = [
     "EstimatorDiverged",
     "UnstableLogError",
     "WeightOverflowError",
-    "FKSystem",
     "elliptic_fk_system",
     "kinetic_fk_system",
     "fit_exponential_rate",
@@ -407,32 +409,21 @@ def harnack_check(
     return HarnackCheck(lhs, rhs, lhs_stderr, rhs_stderr, factor, bool(ok))
 
 
-@dataclass(frozen=True)
-class FKSystem:
-    """Feynman-Kac input: a driven SDE plus a path potential."""
-
-    dim: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    potential: Callable[[np.ndarray], np.ndarray]
-    noise_dim: int
-    noise_scale: float
-
-
 def elliptic_fk_system(
     b_tilde: Callable[[np.ndarray], np.ndarray],
     potential: Callable[[np.ndarray], np.ndarray],
     d: int,
-) -> FKSystem:
+) -> SdeSystem:
     """Elliptic Feynman-Kac system: drift b_tilde, noise sqrt(2)."""
-    return FKSystem(dim=d, drift=b_tilde, potential=potential, noise_dim=d,
-                    noise_scale=math.sqrt(2.0))
+    return SdeSystem(dim=d, drift=b_tilde, noise_dim=d, noise_scale=math.sqrt(2.0),
+                     potential=potential)
 
 
 def kinetic_fk_system(
     model: KineticModel,
     potential: Callable[[np.ndarray], np.ndarray] | None = None,
     fd_step: float = 1e-5,
-) -> FKSystem:
+) -> SdeSystem:
     """Kinetic Feynman-Kac system.
 
     The relative-density equation transports along
@@ -463,12 +454,12 @@ def kinetic_fk_system(
                 return -div + np.sum(model.force_g(x, v) * v, axis=-1)
     else:
         potential_fn = potential
-    return FKSystem(dim=2 * d, drift=drift, potential=potential_fn, noise_dim=d,
-                    noise_scale=math.sqrt(2.0 * gamma))
+    return SdeSystem(dim=2 * d, drift=drift, noise_dim=d,
+                     noise_scale=math.sqrt(2.0 * gamma), potential=potential_fn)
 
 
 def feynman_kac_h(
-    system: FKSystem,
+    system: SdeSystem,
     x,
     T: float,
     n_paths: int,
@@ -478,21 +469,21 @@ def feynman_kac_h(
     """Estimate h_T(x) = E exp( int_0^T phi(X_s) ds ) with h_0 = 1.
 
     The integral is a left Riemann sum along the Euler-Maruyama path.
-    Raises :class:`WeightOverflowError` when an exponent exceeds 700.
+    Raises :class:`SimulationBlowUp` when the path or the integral turns
+    non-finite and :class:`WeightOverflowError` when an exponent exceeds 700.
     """
-    x0 = np.broadcast_to(np.asarray(x, dtype=float), (n_paths, system.dim)).copy()
+    if system.potential is None:
+        raise ValueError("feynman_kac_h needs a system with a potential")
     steps = int(math.ceil(T / cfg.dt - 1e-12))
-    sqdt = math.sqrt(cfg.dt)
-    nd = system.dim - system.noise_dim
     acc = np.zeros(n_paths)
-    state = x0
-    for step in range(steps):
-        acc += system.potential(state) * cfg.dt
-        xi = noise_normals(cfg.seed, step, channel, (n_paths, system.noise_dim))
-        state = state + system.drift(state) * cfg.dt
-        state[:, nd:] += system.noise_scale * sqdt * xi
-        if step % 16 == 0 and not np.all(np.isfinite(state)):
-            raise EstimatorDiverged(f"non-finite state at step {step + 1}")
+    em_step = _em_step(system, cfg, channel)
+
+    def step(k, x, y, active):
+        acc[:] += system.potential(x) * cfg.dt
+        return em_step(k, x, y, active)
+
+    _integrate(cfg, step, _as_batch(x, n_paths, system.dim), n_steps=steps,
+               record_every=max(steps, 1), accumulators=(acc,))
     max_exp = float(acc.max())
     if max_exp > 700.0:
         raise WeightOverflowError(max_exp)
@@ -523,7 +514,7 @@ class ScanReport:
 
 
 def u_lipschitz_scan(
-    system: FKSystem,
+    system: SdeSystem,
     points: np.ndarray,
     T: float,
     n_paths: int,

@@ -23,6 +23,14 @@ merge_tol * (1 + initial separation), or when the signed radial coordinate
 of the updated difference crosses zero (exact hits are almost surely missed
 on a grid, crossings are not).  Merged pairs are advanced identically and
 never separate.
+
+Every simulator, the Feynman-Kac weight in ``estimators`` included, runs
+the one time loop ``_integrate``, which owns the record buffers (states and
+rc), the merge bookkeeping and the finiteness check.  A coupling supplies
+only its one-step update: the second copy's noise map, its merge test and
+its per-path accumulators (the Girsanov int e . dB, the Feynman-Kac
+int phi ds).  Both copies and every accumulator are checked every 16 steps
+and at the last step; a non-finite entry raises :class:`SimulationBlowUp`.
 """
 
 from __future__ import annotations
@@ -115,12 +123,14 @@ def noise_normals(seed: int, step: int, channel: int, shape: tuple[int, ...]) ->
 @dataclass(frozen=True)
 class SdeSystem:
     """Constant-diffusion SDE: drift on R^dim, noise on the trailing
-    ``noise_dim`` coordinates with scalar scale ``noise_scale``."""
+    ``noise_dim`` coordinates with scalar scale ``noise_scale``.  A
+    Feynman-Kac system also carries the path ``potential`` phi."""
 
     dim: int
     drift: Callable[[np.ndarray], np.ndarray]
     noise_dim: int
     noise_scale: float
+    potential: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def system_of(model) -> SdeSystem:
@@ -181,7 +191,7 @@ class PairTrajectory:
 def _as_batch(x0, n_paths: int, dim: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
-        x0 = np.broadcast_to(x0, (n_paths, dim)).copy()
+        x0 = np.broadcast_to(x0, (n_paths, dim))
     if x0.shape != (n_paths, dim):
         raise ValueError(f"initial state must have shape ({n_paths},{dim}) or ({dim},)")
     return x0.copy()
@@ -192,6 +202,94 @@ def _record_index(n_steps: int, record_every: int) -> np.ndarray:
     if idx[-1] != n_steps:
         idx = np.append(idx, n_steps)
     return idx
+
+
+def _check_finite(step: int, dt: float, states) -> None:
+    """Raise SimulationBlowUp counting the paths with a non-finite entry."""
+    bad = np.zeros(len(states[0]), dtype=bool)
+    for s in states:
+        bad |= ~np.isfinite(s).all(axis=tuple(range(1, s.ndim)))
+    if bad.any():
+        raise SimulationBlowUp(step, step * dt, int(bad.sum()))
+
+
+def _integrate(
+    cfg: SimConfig,
+    advance: Callable,
+    x: np.ndarray,
+    y: np.ndarray | None = None,
+    *,
+    n_steps: int | None = None,
+    record_every: int = 1,
+    tol: np.ndarray | None = None,
+    accumulators: tuple[np.ndarray, ...] = (),
+    rc_of: Callable | None = None,
+):
+    """The time loop shared by every simulator.
+
+    ``advance(k, x, y, active)`` takes the state from step k to k + 1 and
+    returns ``(x, y, hit)``, ``hit`` being the merge test on the new pair.
+    With ``tol`` given, pairs within tol merge at t = 0, ``active`` pairs
+    that ``hit`` merge at t_{k+1}, and a merged second copy is set to the
+    first after every step.  ``accumulators`` are per-path arrays that
+    ``advance`` updates in place; ``rc_of(x, y, active)`` is recorded with
+    the states.  Returns ``(times, xs, ys, merge_time, rc)``.
+    """
+    n_steps = cfg.n_steps if n_steps is None else n_steps
+    rec = _record_index(n_steps, record_every)
+    xs = np.empty((rec.size,) + x.shape)
+    ys = None if y is None else np.empty_like(xs)
+    xs[0] = x
+    if y is not None:
+        ys[0] = y
+    merge_time = np.full(x.shape[0], np.nan)
+    active = None
+    if tol is not None:
+        merge_time[np.linalg.norm(x - y, axis=-1) <= tol] = 0.0
+        active = np.isnan(merge_time)
+        y[~active] = x[~active]
+    rc = None
+    if rc_of is not None:
+        rc = np.empty((rec.size, x.shape[0]))
+        rc[0] = rc_of(x, y, active)
+    rec_pos = 1
+    for step in range(n_steps):
+        x, y, hit = advance(step, x, y, active)
+        if tol is not None:
+            merge_time[active & hit] = (step + 1) * cfg.dt
+            active = np.isnan(merge_time)
+            y[~active] = x[~active]
+        if step % 16 == 0 or step == n_steps - 1:
+            _check_finite(step + 1, cfg.dt, [s for s in (x, y, *accumulators) if s is not None])
+        if rec_pos < rec.size and step + 1 == rec[rec_pos]:
+            xs[rec_pos] = x
+            if y is not None:
+                ys[rec_pos] = y
+            if rc is not None:
+                rc[rec_pos] = rc_of(x, y, active)
+            rec_pos += 1
+    return rec * cfg.dt, xs, ys, merge_time, rc
+
+
+def _pair_trajectory(out, mode: str, **extra) -> PairTrajectory:
+    times, xs, ys, merge_time, rc = out
+    sc = None if rc is None else np.sqrt(1.0 - rc**2)
+    return PairTrajectory(times=times, z=xs, z_prime=ys, merge_time=merge_time,
+                          rc=rc, sc=sc, mode=mode, **extra)
+
+
+def _em_step(sys_: SdeSystem, cfg: SimConfig, channel: int) -> Callable:
+    """x <- x + drift(x) dt + (scale sqrt(dt)) xi on the noise block."""
+    nd = sys_.dim - sys_.noise_dim
+    scale = sys_.noise_scale * math.sqrt(cfg.dt)
+
+    def step(k, x, y, active):
+        xi = noise_normals(cfg.seed, k, channel, (x.shape[0], sys_.noise_dim))
+        x = x + sys_.drift(x) * cfg.dt
+        x[:, nd:] += scale * xi
+        return x, y, None
+
+    return step
 
 
 def em_path(
@@ -209,23 +307,9 @@ def em_path(
     """
     sys_ = system_of(model)
     x = _as_batch(x0, n_paths, sys_.dim)
-    cfg_steps = cfg.n_steps
-    rec = _record_index(cfg_steps, record_every)
-    out = np.empty((rec.size, n_paths, sys_.dim))
-    out[0] = x
-    rec_pos = 1
-    sqdt = math.sqrt(cfg.dt)
-    for step in range(cfg_steps):
-        xi = noise_normals(cfg.seed, step, channel, (n_paths, sys_.noise_dim))
-        x = x + sys_.drift(x) * cfg.dt
-        x[:, sys_.dim - sys_.noise_dim :] += sys_.noise_scale * sqdt * xi
-        if (step % 16 == 0 or step == cfg_steps - 1) and not np.all(np.isfinite(x)):
-            bad = ~np.all(np.isfinite(x), axis=-1)
-            raise SimulationBlowUp(step + 1, (step + 1) * cfg.dt, int(bad.sum()))
-        if rec_pos < rec.size and step + 1 == rec[rec_pos]:
-            out[rec_pos] = x
-            rec_pos += 1
-    return Trajectory(times=rec * cfg.dt, states=out)
+    times, xs, _, _, _ = _integrate(cfg, _em_step(sys_, cfg, channel), x,
+                                    record_every=record_every)
+    return Trajectory(times=times, states=xs)
 
 
 def _merge_tol_effective(cfg: SimConfig, x0: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -240,36 +324,19 @@ def synchronous_pair(
     x = _as_batch(x0, n_paths, sys_.dim)
     y = _as_batch(y0, n_paths, sys_.dim)
     tol = _merge_tol_effective(cfg, x, y)
-    n_steps = cfg.n_steps
-    rec = _record_index(n_steps, record_every)
-    zs = np.empty((rec.size, n_paths, sys_.dim))
-    zps = np.empty_like(zs)
-    zs[0], zps[0] = x, y
-    merge_time = np.full(n_paths, np.nan)
-    merge_time[np.linalg.norm(x - y, axis=-1) <= tol] = 0.0
-    y[~np.isnan(merge_time)] = x[~np.isnan(merge_time)]
-    rec_pos = 1
-    sqdt = math.sqrt(cfg.dt)
     nd = sys_.dim - sys_.noise_dim
-    for step in range(n_steps):
-        xi = noise_normals(cfg.seed, step, CH_MAIN, (n_paths, sys_.noise_dim))
-        noise = sys_.noise_scale * sqdt * xi
+    scale = sys_.noise_scale * math.sqrt(cfg.dt)
+
+    def step(k, x, y, active):
+        noise = scale * noise_normals(cfg.seed, k, CH_MAIN, (n_paths, sys_.noise_dim))
         x = x + sys_.drift(x) * cfg.dt
         x[:, nd:] += noise
         y = y + sys_.drift(y) * cfg.dt
         y[:, nd:] += noise
-        active = np.isnan(merge_time)
-        newly = active & (np.linalg.norm(x - y, axis=-1) <= tol)
-        merge_time[newly] = (step + 1) * cfg.dt
-        y[~np.isnan(merge_time)] = x[~np.isnan(merge_time)]
-        if step % 16 == 0 and not np.all(np.isfinite(x)):
-            raise SimulationBlowUp(step + 1, (step + 1) * cfg.dt, int(np.sum(~np.isfinite(x))))
-        if rec_pos < rec.size and step + 1 == rec[rec_pos]:
-            zs[rec_pos], zps[rec_pos] = x, y
-            rec_pos += 1
-    return PairTrajectory(
-        times=rec * cfg.dt, z=zs, z_prime=zps, merge_time=merge_time, mode="synchronous"
-    )
+        return x, y, np.linalg.norm(x - y, axis=-1) <= tol
+
+    out = _integrate(cfg, step, x, y, record_every=record_every, tol=tol)
+    return _pair_trajectory(out, "synchronous")
 
 
 def _unit_or_e1(delta: np.ndarray) -> np.ndarray:
@@ -280,6 +347,25 @@ def _unit_or_e1(delta: np.ndarray) -> np.ndarray:
     safe = norm[..., 0] > 0.0
     e[safe] = delta[safe] / norm[safe]
     return e
+
+
+def _radial_step(model: EllipticModel, cfg: SimConfig, cross_tol, second: Callable) -> Callable:
+    """One step of an elliptic pair whose unmerged second copy moves by
+    ``second(k, y, dB, e, active)``, e the unit separation before the step.
+    The pair hits when the radial coordinate of the new difference crosses
+    zero or the separation falls below ``cross_tol``."""
+    sqdt = math.sqrt(cfg.dt)
+
+    def step(k, x, y, active):
+        e = _unit_or_e1(x - y)
+        dB = sqdt * noise_normals(cfg.seed, k, CH_MAIN, x.shape)
+        x_new = x + model.drift(x) * cfg.dt + model.sigma * dB
+        y_new = np.where(active[:, None], second(k, y, dB, e, active), x_new)
+        delta_new = x_new - y_new
+        radial = np.sum(e * delta_new, axis=-1)
+        return x_new, y_new, (radial <= 0.0) | (np.linalg.norm(delta_new, axis=-1) <= cross_tol)
+
+    return step
 
 
 def reflection_pair(
@@ -294,54 +380,19 @@ def reflection_pair(
     """
     if not isinstance(model, EllipticModel):
         raise TypeError("reflection coupling requires an elliptic model")
-    d, sigma, b = model.d, model.sigma, model.drift
-    x = _as_batch(x0, n_paths, d)
-    y = _as_batch(y0, n_paths, d)
+    b, sigma = model.drift, model.sigma
+    x = _as_batch(x0, n_paths, model.d)
+    y = _as_batch(y0, n_paths, model.d)
     tol = _merge_tol_effective(cfg, x, y)
-    n_steps = cfg.n_steps
-    rec = _record_index(n_steps, record_every)
-    zs = np.empty((rec.size, n_paths, d))
-    zps = np.empty_like(zs)
-    zs[0], zps[0] = x, y
-    rc_rec = np.empty((rec.size, n_paths))
-    merge_time = np.full(n_paths, np.nan)
-    merge_time[np.linalg.norm(x - y, axis=-1) <= tol] = 0.0
-    y[~np.isnan(merge_time)] = x[~np.isnan(merge_time)]
-    rc_rec[0] = np.isnan(merge_time).astype(float)
-    rec_pos = 1
-    sqdt = math.sqrt(cfg.dt)
-    for step in range(n_steps):
-        active = np.isnan(merge_time)
-        e = _unit_or_e1(x - y)
-        dB = sqdt * noise_normals(cfg.seed, step, CH_MAIN, (n_paths, d))
-        x_new = x + b(x) * cfg.dt + sigma * dB
+
+    def reflected(k, y, dB, e, active):
         refl = dB - 2.0 * e * np.sum(e * dB, axis=-1, keepdims=True)
-        y_new = np.where(
-            active[:, None], y + b(y) * cfg.dt + sigma * refl, x_new
-        )
-        delta_new = x_new - y_new
-        radial = np.sum(e * delta_new, axis=-1)
-        newly = active & (
-            (radial <= 0.0) | (np.linalg.norm(delta_new, axis=-1) <= tol)
-        )
-        merge_time[newly] = (step + 1) * cfg.dt
-        x, y = x_new, y_new
-        y[~np.isnan(merge_time)] = x[~np.isnan(merge_time)]
-        if step % 16 == 0 and not np.all(np.isfinite(x)):
-            raise SimulationBlowUp(step + 1, (step + 1) * cfg.dt, int(np.sum(~np.isfinite(x))))
-        if rec_pos < rec.size and step + 1 == rec[rec_pos]:
-            zs[rec_pos], zps[rec_pos] = x, y
-            rc_rec[rec_pos] = np.isnan(merge_time).astype(float)
-            rec_pos += 1
-    return PairTrajectory(
-        times=rec * cfg.dt,
-        z=zs,
-        z_prime=zps,
-        merge_time=merge_time,
-        rc=rc_rec,
-        sc=np.sqrt(1.0 - rc_rec**2),
-        mode="reflection",
-    )
+        return y + b(y) * cfg.dt + sigma * refl
+
+    out = _integrate(cfg, _radial_step(model, cfg, tol, reflected), x, y,
+                     record_every=record_every, tol=tol,
+                     rc_of=lambda x, y, active: active.astype(float))
+    return _pair_trajectory(out, "reflection")
 
 
 def harnack_pair(
@@ -366,60 +417,27 @@ def harnack_pair(
         raise TypeError("the drifted coupling requires an elliptic model")
     if k_w < 0:
         raise ValueError("k_w must be nonnegative")
-    d, sigma, b = model.d, model.sigma, model.drift
+    b, sigma = model.drift, model.sigma
     T = cfg.t_final if horizon is None else float(horizon)
-    x = _as_batch(x0, n_paths, d)
-    y = _as_batch(y0, n_paths, d)
-    dist0 = np.linalg.norm(x - y, axis=-1)
-    xi_drift = k_w + dist0 / T
+    x = _as_batch(x0, n_paths, model.d)
+    y = _as_batch(y0, n_paths, model.d)
+    xi_drift = k_w + np.linalg.norm(x - y, axis=-1) / T
     tol = _merge_tol_effective(cfg, x, y)
     # the radial part decreases by at least (xi - k_w) dt per unit time, so a
     # separation below that decrement crosses zero within the step
     cross_tol = np.maximum(tol, (xi_drift - k_w) * cfg.dt)
-    n_steps = cfg.n_steps
-    rec = _record_index(n_steps, record_every)
-    zs = np.empty((rec.size, n_paths, d))
-    zps = np.empty_like(zs)
-    zs[0], zps[0] = x, y
-    merge_time = np.full(n_paths, np.nan)
-    merge_time[dist0 <= tol] = 0.0
-    y[~np.isnan(merge_time)] = x[~np.isnan(merge_time)]
     ito = np.zeros(n_paths)     # int e . dB up to merge
-    tau = np.zeros(n_paths)
-    rec_pos = 1
-    sqdt = math.sqrt(cfg.dt)
-    for step in range(n_steps):
-        active = np.isnan(merge_time)
-        e = _unit_or_e1(x - y)
-        dB = sqdt * noise_normals(cfg.seed, step, CH_MAIN, (n_paths, d))
-        x_new = x + b(x) * cfg.dt + sigma * dB
-        y_new = np.where(
-            active[:, None],
-            y + b(y) * cfg.dt + sigma * dB + (xi_drift * cfg.dt)[:, None] * e,
-            x_new,
-        )
+
+    def drifted(k, y, dB, e, active):
         ito[active] += np.sum(e * dB, axis=-1)[active]
-        tau[active] = (step + 1) * cfg.dt
-        delta_new = x_new - y_new
-        radial = np.sum(e * delta_new, axis=-1)
-        newly = active & (
-            (radial <= 0.0) | (np.linalg.norm(delta_new, axis=-1) <= cross_tol)
-        )
-        merge_time[newly] = (step + 1) * cfg.dt
-        x, y = x_new, y_new
-        y[~np.isnan(merge_time)] = x[~np.isnan(merge_time)]
-        if rec_pos < rec.size and step + 1 == rec[rec_pos]:
-            zs[rec_pos], zps[rec_pos] = x, y
-            rec_pos += 1
+        return y + b(y) * cfg.dt + sigma * dB + (xi_drift * cfg.dt)[:, None] * e
+
+    out = _integrate(cfg, _radial_step(model, cfg, cross_tol, drifted), x, y,
+                     record_every=record_every, tol=tol, accumulators=(ito,))
+    merge_time = out[3]
+    tau = np.where(np.isnan(merge_time), cfg.n_steps * cfg.dt, merge_time)
     logw = -(xi_drift / sigma) * ito - xi_drift**2 * tau / (2.0 * sigma**2)
-    return PairTrajectory(
-        times=rec * cfg.dt,
-        z=zs,
-        z_prime=zps,
-        merge_time=merge_time,
-        girsanov_logw=logw,
-        mode="harnack",
-    )
+    return _pair_trajectory(out, "harnack", girsanov_logw=logw)
 
 
 def rc_profile(r: np.ndarray, dq_norm: np.ndarray, r0: float, n_smooth: float) -> np.ndarray:
@@ -466,12 +484,6 @@ def kinetic_coupled_pair(
     theta, r0 = params.theta, params.r0
     z = _as_batch(z0, n_paths, 2 * d)
     zp = _as_batch(z0_prime, n_paths, 2 * d)
-    n_steps = cfg.n_steps
-    rec = _record_index(n_steps, record_every)
-    zs = np.empty((rec.size, n_paths, 2 * d))
-    zps = np.empty_like(zs)
-    rc_rec = np.empty((rec.size, n_paths))
-    zs[0], zps[0] = z, zp
 
     def weights(z_, zp_):
         dx = z_[:, :d] - zp_[:, :d]
@@ -480,14 +492,13 @@ def kinetic_coupled_pair(
         r = theta * np.linalg.norm(dx, axis=-1) + dqn
         return rc_profile(r, dqn, r0, cfg.n_smooth), _unit_or_e1(dq)
 
-    rc_rec[0], _ = weights(z, zp)
-    rec_pos = 1
     sq2, sqdt = math.sqrt(2.0), math.sqrt(cfg.dt)
-    for step in range(n_steps):
+
+    def step(k, z, zp, active):
         rc, e = weights(z, zp)
         sc = np.sqrt(np.clip(1.0 - rc * rc, 0.0, 1.0))
-        dB = sqdt * noise_normals(cfg.seed, step, CH_MAIN, (n_paths, d))
-        dBpp = sqdt * noise_normals(cfg.seed, step, CH_AUX, (n_paths, d))
+        dB = sqdt * noise_normals(cfg.seed, k, CH_MAIN, (n_paths, d))
+        dBpp = sqdt * noise_normals(cfg.seed, k, CH_AUX, (n_paths, d))
         rc_, sc_ = rc[:, None], sc[:, None]
         dB_rc = rc_ * dB + sc_ * dBpp
         dB_sc = sc_ * dB - rc_ * dBpp
@@ -496,22 +507,11 @@ def kinetic_coupled_pair(
         z_new[:, d:] += sq2 * dB
         zp_new = zp + model.control_drift(zp) * cfg.dt
         zp_new[:, d:] += sq2 * (rc_ * refl + sc_ * dB_sc)
-        z, zp = z_new, zp_new
-        if step % 16 == 0 and not np.all(np.isfinite(z)):
-            raise SimulationBlowUp(step + 1, (step + 1) * cfg.dt, int(np.sum(~np.isfinite(z))))
-        if rec_pos < rec.size and step + 1 == rec[rec_pos]:
-            zs[rec_pos], zps[rec_pos] = z, zp
-            rc_rec[rec_pos], _ = weights(z, zp)
-            rec_pos += 1
-    return PairTrajectory(
-        times=rec * cfg.dt,
-        z=zs,
-        z_prime=zps,
-        merge_time=np.full(n_paths, np.nan),
-        rc=rc_rec,
-        sc=np.sqrt(1.0 - rc_rec**2),
-        mode="kinetic",
-    )
+        return z_new, zp_new, None
+
+    out = _integrate(cfg, step, z, zp, record_every=record_every,
+                     rc_of=lambda z_, zp_, active: weights(z_, zp_)[0])
+    return _pair_trajectory(out, "kinetic")
 
 
 def pair_to_csv_rows(traj: PairTrajectory):

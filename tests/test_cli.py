@@ -44,6 +44,15 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, {"scenari": "ou"})
     assert main(["verify", "--config", cfg]) == 2
+    # the constants block is checked before any estimator runs
+    cfg = _write(tmp_path, {
+        "scenario": "ou",
+        "constants": {"L": 0.0, "rho": 1.0, "R": 0.0, "sigma": 1.0, "d": 1, "rhoo": 3},
+        "estimators": {"one_sided": {"n_pairs": 64}},
+        "out_dir": str(tmp_path / "out"),
+    }, name="constants_typo.json")
+    assert main(["verify", "--config", cfg]) == 2
+    assert not (tmp_path / "out").exists()
     capsys.readouterr()
 
 
@@ -183,15 +192,24 @@ def test_verify_misdeclared_rho_exits_1(tmp_path, capsys):
 
 
 def test_verify_runtime_abort_exits_3(tmp_path, capsys):
-    cfg = _write(tmp_path, {
+    weight_overflow = {
         "scenario": "ou",
         "sim": {"dt": 1e-2, "t_final": 2.0, "seed": 1},
         "estimators": {"fk_const": {"c": 500.0, "t": 2.0, "n_paths": 16}},
-        "out_dir": str(tmp_path / "out"),
-    })
-    assert main(["verify", "--config", cfg]) == 3
-    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
-    assert "error" in report["records"][0]
+    }
+    # only the second copy blows up: y0 = 30 overshoots the double well at dt = 0.05
+    second_copy_blow_up = {
+        "scenario": "double-well",
+        "sim": {"dt": 0.05, "t_final": 2.0, "seed": 1},
+        "estimators": {"w1_synchronous": {"n_paths": 1000,
+                                          "pair": {"x0": [0.0], "y0": [30.0]}}},
+    }
+    for i, payload in enumerate((weight_overflow, second_copy_blow_up)):
+        out = tmp_path / f"out{i}"
+        cfg = _write(tmp_path, {**payload, "out_dir": str(out)}, name=f"abort{i}.json")
+        assert main(["verify", "--config", cfg]) == 3
+        report = json.loads((out / "verify_report.json").read_text())
+        assert "error" in report["records"][0]
     capsys.readouterr()
 
 

@@ -274,12 +274,24 @@ def test_kinetic_pair_marginal_moments_match_independent_run(kinetic_bench):
             assert abs(a.mean() - b.mean()) <= 3.0 * se + 1e-3
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_blow_up_detection():
+    from nesslsi.estimators import elliptic_fk_system, feynman_kac_h
+
     sys_ = SdeSystem(dim=1, drift=lambda x: x**3, noise_dim=1, noise_scale=0.0)
     cfg = SimConfig(dt=0.5, t_final=50.0, seed=19)
     with pytest.raises(SimulationBlowUp):
         em_path(sys_, np.array([3.0]), cfg, n_paths=2)
+    # the second copy alone, turning infinite at the last of 5 steps
+    with pytest.raises(SimulationBlowUp):
+        synchronous_pair(sys_, np.zeros(1), np.array([30.0]), replace(cfg, t_final=2.5))
+    with pytest.raises(SimulationBlowUp):
+        harnack_pair(make_scenario("double-well"), np.array([30.0]), np.array([30.5]),
+                     SimConfig(dt=0.05, t_final=2.0, seed=19), k_w=0.0)
+    # the Feynman-Kac integral alone
+    nan_phi = elliptic_fk_system(lambda s: -s, lambda s: np.full(s.shape[:-1], np.nan), 1)
+    with pytest.raises(SimulationBlowUp):
+        feynman_kac_h(nan_phi, np.zeros(1), 1.0, 4, cfg)
 
 
 def test_pair_csv_rows(ou1):
