@@ -73,6 +73,7 @@ _TOP_KEYS = {
     "metric", "sweep", "out_dir", "pair", "n_paths",
 }
 _SIM_KEYS = {"dt", "t_final", "seed", "merge_tol", "n_smooth"}
+_OBJECT_KEYS = ("sim", "model", "constants", "metric", "estimators", "sweep", "pair")
 
 
 def _load_config(path: str) -> dict:
@@ -86,6 +87,12 @@ def _load_config(path: str) -> dict:
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in _OBJECT_KEYS:
+        if key in cfg and not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key!r} must be a JSON object")
+    for name, params in cfg.get("estimators", {}).items():
+        if not isinstance(params, dict):
+            raise ConfigError(f"estimator {name!r}: parameters must be a JSON object")
     if "sim" in cfg:
         bad = set(cfg["sim"]) - _SIM_KEYS
         if bad:
@@ -390,11 +397,16 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
     def run(item):
         name, params = item
         try:
-            return _run_estimator(name, params or {}, model, sim, cfg)
+            return _run_estimator(name, params, model, sim, cfg)
         except (EstimatorDiverged, UnstableLogError, WeightOverflowError,
                 SimulationBlowUp, FloatingPointError) as exc:
             return {"estimator": name, "params": params, "flag": False,
                     "error": f"{type(exc).__name__}: {exc}", "aborted": True}
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            # an argument the estimator rejects is an error in the config
+            raise ConfigError(f"{name}: {exc}") from exc
 
     items = list(batch.items())
     if threads > 1:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, asdict, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .constants import (
     harnack_factor,
@@ -756,6 +755,8 @@ def wasserstein2_subsampled(
 ) -> float:
     """W2 distance between empirical measures by exact linear assignment on
     subsamples of at most k points, averaged over ``draws`` seeded draws."""
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     k = min(k, a.shape[0], b.shape[0])

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "MetricParams",
@@ -160,6 +159,14 @@ def _cellwise_simpson(
     raise QuadratureError(f"{a.size} subintervals left after {max_depth} refinement levels")
 
 
+def _pchip(grid: np.ndarray, values: np.ndarray):
+    """Monotone cubic interpolant; scipy.interpolate loads on first use only,
+    so importing nesslsi does not pay for it."""
+    from scipy.interpolate import PchipInterpolator
+
+    return PchipInterpolator(grid, values)
+
+
 @dataclass(frozen=True)
 class MetricTable:
     """Tabulated metric functions Phi, g, f on [0, r0 + 1/n] plus scalars.
@@ -184,9 +191,9 @@ class MetricTable:
 
     def __post_init__(self):
         if self.grid.size >= 2:
-            object.__setattr__(self, "_f_interp", PchipInterpolator(self.grid, self.f_vals))
-            object.__setattr__(self, "_g_interp", PchipInterpolator(self.grid, self.g_vals))
-            object.__setattr__(self, "_phi_interp", PchipInterpolator(self.grid, self.phi_primitive))
+            object.__setattr__(self, "_f_interp", _pchip(self.grid, self.f_vals))
+            object.__setattr__(self, "_g_interp", _pchip(self.grid, self.g_vals))
+            object.__setattr__(self, "_phi_interp", _pchip(self.grid, self.phi_primitive))
         else:
             object.__setattr__(self, "_f_interp", None)
             object.__setattr__(self, "_g_interp", None)
@@ -314,7 +321,7 @@ def build_metric(
 
     phi_cells = _cellwise_simpson(phi, grid, quad_tol)
     phi_primitive = np.concatenate([[0.0], np.cumsum(phi_cells)])
-    phi_interp = PchipInterpolator(grid, phi_primitive)
+    phi_interp = _pchip(grid, phi_primitive)
 
     def integrand_a(u: np.ndarray) -> np.ndarray:
         return phi_interp(u) / phi(u)
@@ -331,7 +338,7 @@ def build_metric(
     eps = min(0.5 / cum_b[-1], 4.0 / (9.0 * radius))
 
     g_vals = 1.0 - 0.5 * kappa1 * cum_a - 0.5 * eps * cum_b
-    g_interp = PchipInterpolator(grid, g_vals)
+    g_interp = _pchip(grid, g_vals)
 
     def integrand_f(u: np.ndarray) -> np.ndarray:
         return phi(u) * g_interp(u)

@@ -4,7 +4,10 @@ Noise is drawn from a counter-based (Philox) stream keyed by
 (seed, step, channel); within a step, path p consumes the fixed slice
 [p*d, (p+1)*d) of the stream.  Trajectories are therefore bit-reproducible
 from (seed, config, model) alone, per path, independently of ensemble size
-or scheduling.
+or scheduling.  Each thread holds one Philox generator and re-keys it for
+every draw (key (seed, step << 3 | channel), counter 0, empty buffer), so a
+draw builds no generator and reads no OS entropy; the numbers are those of a
+freshly keyed ``Philox(key=...)``.
 
 Couplings:
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -114,10 +118,27 @@ def derive_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+_thread_rng = threading.local()
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
 def noise_normals(seed: int, step: int, channel: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals from the counter-based stream (seed, step, channel)."""
+    """Standard normals from the counter-based stream (seed, step, channel):
+    ``Generator(Philox(key=[seed, step << 3 | channel])).standard_normal(shape)``,
+    drawn from this thread's generator re-keyed in place."""
+    gen = getattr(_thread_rng, "gen", None)
+    if gen is None:
+        gen = _thread_rng.gen = np.random.Generator(np.random.Philox(0))
     key = np.array([seed & _MASK64, ((step << 3) | channel) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.standard_normal(shape)
 
 
 @dataclass(frozen=True)
@@ -363,7 +384,10 @@ def _radial_step(model: EllipticModel, cfg: SimConfig, cross_tol, second: Callab
         y_new = np.where(active[:, None], second(k, y, dB, e, active), x_new)
         delta_new = x_new - y_new
         radial = np.sum(e * delta_new, axis=-1)
-        return x_new, y_new, (radial <= 0.0) | (np.linalg.norm(delta_new, axis=-1) <= cross_tol)
+        # a non-finite difference (radial -inf or nan) is no crossing: merging
+        # would overwrite the diverged copy before the finiteness check sees it
+        crossed = (radial <= 0.0) & (radial > -np.inf)
+        return x_new, y_new, crossed | (np.linalg.norm(delta_new, axis=-1) <= cross_tol)
 
     return step
 

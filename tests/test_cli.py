@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-
+import nesslsi
 from nesslsi.cli import main
 
 
@@ -17,6 +21,17 @@ def _constants_config(tmp_path, out):
         "metric": {"k_matrix": [[1.0]], "lip_inner": 0.0, "lip_outer": 0.0, "radius": 1.0},
         "out_dir": str(out),
     })
+
+
+def test_import_leaves_scipy_submodules_unloaded():
+    """Only the kinetic metric and mckv use scipy; importing the package and
+    its CLI must not load scipy.interpolate or scipy.optimize."""
+    src = str(Path(nesslsi.__file__).resolve().parents[1])
+    code = ("import sys, nesslsi, nesslsi.cli; "
+            "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_constants_command_reference_values(tmp_path, capsys):
@@ -53,7 +68,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     }, name="constants_typo.json")
     assert main(["verify", "--config", cfg]) == 2
     assert not (tmp_path / "out").exists()
-    capsys.readouterr()
+    # blocks that must be JSON objects, and an estimator argument it rejects
+    base = {"scenario": "ou", "estimators": {"one_sided": {"n_pairs": 64}},
+            "out_dir": str(tmp_path / "out")}
+    for i, patch in enumerate([
+        {"constants": 5},
+        {"model": [1]},
+        {"sim": 3},
+        {"metric": "k"},
+        {"pair": [0.0, 1.0]},
+        {"estimators": ["one_sided"]},
+        {"estimators": {"one_sided": 64}},
+        {"sweep": [1, 2]},
+        {"estimators": {"w1_synchronous": {"n_paths": 10}}},
+    ]):
+        cfg = _write(tmp_path, {**base, **patch}, name=f"block{i}.json")
+        assert main(["verify", "--config", cfg]) == 2, patch
+        assert not (tmp_path / "out").exists(), patch
+    err = capsys.readouterr().err
+    assert "config error: w1_synchronous: need n_paths >= 1000" in err
 
 
 def test_verify_dry_run_validates_only(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nesslsi.models import make_scenario, normalize_kinetic
+from nesslsi.models import EllipticModel, KineticModel, make_scenario, normalize_kinetic
 from nesslsi.simulate import (
     SdeSystem,
     SimConfig,
@@ -26,6 +29,47 @@ def test_noise_per_path_stable_under_ensemble_size():
     big = noise_normals(7, 11, 0, (64, 3))
     small = noise_normals(7, 11, 0, (8, 3))
     np.testing.assert_array_equal(big[:8], small)
+
+
+def _fresh_philox_normals(seed, step, channel, shape):
+    key = np.array([seed, (step << 3) | channel], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+
+
+_NOISE_CASES = [(2**64 - 1, 10**6, channel, shape)
+                for shape in ((1, 1), (5, 3), (4096, 2)) for channel in range(3)]
+
+
+def test_noise_normals_equals_freshly_keyed_philox():
+    """Re-keying the thread's generator gives the numbers of a new Philox
+    with the same key, in any interleaving and from threads at once."""
+    want = {case: _fresh_philox_normals(*case) for case in _NOISE_CASES}
+    for case in _NOISE_CASES + _NOISE_CASES[::-1]:    # interleaved shapes and channels
+        np.testing.assert_array_equal(noise_normals(*case), want[case])
+
+    n_threads, rounds = 4, 20
+    barrier = threading.Barrier(n_threads)
+    mismatches = []
+
+    def draw(offset):
+        barrier.wait(timeout=30)
+        for r in range(rounds):
+            case = _NOISE_CASES[(offset + r) % len(_NOISE_CASES)]
+            if not np.array_equal(noise_normals(*case), want[case]):
+                mismatches.append(case)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 def test_sim_config_validation():
@@ -292,6 +336,92 @@ def test_blow_up_detection():
     nan_phi = elliptic_fk_system(lambda s: -s, lambda s: np.full(s.shape[:-1], np.nan), 1)
     with pytest.raises(SimulationBlowUp):
         feynman_kac_h(nan_phi, np.zeros(1), 1.0, 4, cfg)
+
+
+class _Poison:
+    """Wraps a field f; on its ``at``-th call (counting from 0) it returns
+    ``value`` in row ``path`` instead of f's output."""
+
+    def __init__(self, f, at, path, value):
+        self.f, self.at, self.path, self.value = f, at, path, value
+        self.calls = 0
+
+    def __call__(self, *args):
+        out = np.array(self.f(*args), dtype=float)
+        if self.calls == self.at:
+            out[self.path] = self.value
+        self.calls += 1
+        return out
+
+
+_DT = 0.0625
+# copies or accumulators each simulator can poison; the pair simulators
+# evaluate the first copy's field before the second's in every step
+_TARGETS = {
+    "em_path": ("x",),
+    "synchronous_pair": ("x", "y"),
+    "reflection_pair": ("x", "y"),
+    "harnack_pair": ("x", "y"),
+    "kinetic_coupled_pair": ("x", "y"),
+    "feynman_kac_h": ("x", "potential"),
+}
+
+
+def _poisoned_run(simulator, target, k, path, value, n_paths, cfg, params, table):
+    """A run of ``simulator`` whose ``target`` turns non-finite in step k."""
+    from nesslsi.estimators import elliptic_fk_system, feynman_kac_h
+
+    per_step = 1 if simulator in ("em_path", "feynman_kac_h") else 2
+    at = per_step * k + (target == "y")
+    x0, y0 = np.ones(1), -np.ones(1)
+    if simulator == "kinetic_coupled_pair":
+        # the model's identity check makes call 0
+        residual = _Poison(lambda x, v: np.zeros_like(v), at + 1, path, value)
+        model = KineticModel(d=1, gamma=1.0, grad_potential=lambda x: x,
+                             k_matrix=np.eye(1), residual=residual, radius=1.0)
+        z0, zp0 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+        return lambda: kinetic_coupled_pair(normalize_kinetic(model), table, params,
+                                            z0, zp0, cfg, n_paths=n_paths)
+    if simulator == "feynman_kac_h":
+        drift, potential = (lambda s: -s), (lambda s: np.zeros(s.shape[:-1]))
+        if target == "x":
+            drift = _Poison(drift, at, path, value)
+        else:
+            potential = _Poison(potential, at, path, value)
+        system = elliptic_fk_system(drift, potential, 1)
+        return lambda: feynman_kac_h(system, x0, cfg.t_final, n_paths, cfg)
+    drift = _Poison(lambda s: -s, at, path, value)
+    # small noise and a wide start keep every pair unmerged over the run
+    model = EllipticModel(d=1, drift=drift, sigma=0.01, rho=1.0)
+    if simulator == "em_path":
+        return lambda: em_path(model, x0, cfg, n_paths=n_paths)
+    if simulator == "harnack_pair":
+        return lambda: harnack_pair(model, x0, y0, cfg, k_w=0.0, horizon=100.0 * cfg.t_final,
+                                    n_paths=n_paths)
+    fn = {"synchronous_pair": synchronous_pair, "reflection_pair": reflection_pair}[simulator]
+    return lambda: fn(model, x0, y0, cfg, n_paths=n_paths)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("simulator", sorted(_TARGETS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_blow_up_raised_at_any_step(simulator, identity_params, identity_table, data):
+    """Whichever copy or accumulator turns non-finite, at whichever step, the
+    last one included, the simulator raises SimulationBlowUp by the next check."""
+    n_steps = data.draw(st.integers(1, 40), label="n_steps")
+    k = data.draw(st.integers(0, n_steps - 1), label="bad step")
+    n_paths = data.draw(st.integers(1, 4), label="n_paths")
+    path = data.draw(st.integers(0, n_paths - 1), label="bad path")
+    value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    target = data.draw(st.sampled_from(_TARGETS[simulator]), label="target")
+    cfg = SimConfig(dt=_DT, t_final=n_steps * _DT, seed=21)
+    run = _poisoned_run(simulator, target, k, path, value, n_paths, cfg,
+                        identity_params, identity_table)
+    with pytest.raises(SimulationBlowUp) as err:
+        run()
+    assert k + 1 <= err.value.step <= min(k + 16, n_steps)
+    assert err.value.n_bad >= 1
 
 
 def test_pair_csv_rows(ou1):
