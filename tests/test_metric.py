@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -240,3 +241,65 @@ def test_table_json_round_trip(identity_table, identity_params):
         rho_star(clone, identity_params, z, zp),
         rho_star(identity_table, identity_params, z, zp),
     )
+
+
+def _golden_tables():
+    """Metric builds keyed by case name: the identity benchmark, the d = 2
+    kinetic-quadratic benchmark and an anisotropic K, each at n_smooth 5,
+    1000 and inf, plus the degenerate R = 0 table."""
+    lip = math.hypot(0.01, 0.005) / 1.5     # test_kinetic_integration, normalized
+    aniso = metric_constants(np.diag([4.0, 1.0]) / 1.5**2, lip, lip, 0.75)
+    cases = {
+        "identity": metric_constants(np.eye(1), 0.0, 0.0, 1.0),
+        "quadratic_d2": metric_constants(np.eye(2), 0.0, 0.0, 1.0),
+        "anisotropic": aniso,
+    }
+    out = {}
+    for name, params in cases.items():
+        for n_smooth in (5, 1000, math.inf):
+            out[f"{name}_n{n_smooth}"] = params, n_smooth
+    out["radius0"] = metric_constants(np.diag([4.0, 1.0]), 1.0, 0.0, 0.0), math.inf
+    return out
+
+
+def _golden_points(d: int):
+    """Pairs with r on both sides of the table edge, one of them equal."""
+    z = np.linspace(-2.5, 2.5, 48 * 2 * d).reshape(48, 2 * d)
+    zp = 0.625 * z[::-1]
+    zp[7] = z[7]
+    return z, zp
+
+
+def _metric_digest(params, n_smooth) -> str:
+    table = build_metric(params, quad_tol=1e-10, n_smooth=n_smooth)
+    z, zp = _golden_points(params.k_matrix.shape[0])
+    h = hashlib.sha256()
+    for v in (table.grid, table.phi_primitive, table.g_vals, table.f_vals,
+              [table.kappa1, table.eps, table.kappa, table.c1],
+              rho_star(table, params, z, zp)):
+        a = np.ascontiguousarray(np.asarray(v, dtype=float))
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# The hashes pin every float of the metric build and of rho_star, including
+# the monotone cubic interpolation that the quadratures integrate through.
+METRIC_GOLDEN = {
+    "anisotropic_n1000": "d74ee217a722eee1e31d4f664d76874e4526e1067790186b87580036512662fe",
+    "anisotropic_n5": "6c01bae088f10ca3b62f4759c3a1a0f0dae70697cff251e259d731270134301b",
+    "anisotropic_ninf": "1f9b34a33a13b6fadac10e30849707700edd580c9797ba9d9b03b76237f71b51",
+    "identity_n1000": "2b290607b56dfa758082af2998b6670fe2908f7a4831459c3efccec2c8c37bf3",
+    "identity_n5": "0ceab134ce268ea384c248612b06f31e561353b387b12f126849f3d272d97922",
+    "identity_ninf": "01dda3589bec3fb7488820a7f4442e2f7e25744504422c0f8f42a5bd1bbb6fb4",
+    "quadratic_d2_n1000": "11fbe4ad5cac2e76767d409592e13ccab98bcf55e376aa9e980062ed8299a153",
+    "quadratic_d2_n5": "91bbe5fbeeb0c03c6885918a392bdc663e711cde8e024cea78ee1d4885b5940b",
+    "quadratic_d2_ninf": "b0cfa853541357869ee3a01a1d829a7b7a821612980726c9ea338d6d44082d18",
+    "radius0": "b61714229fa261d417c1dc88efff01f983f2fd325f5e16cac891f78d0698ab9e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_golden_tables()))
+def test_metric_golden_hash(case):
+    """build_metric and rho_star reproduce their pinned output bit for bit."""
+    assert _metric_digest(*_golden_tables()[case]) == METRIC_GOLDEN[case]
