@@ -241,6 +241,15 @@ def _pair_points(cfg: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(pair["x0"], dtype=float), np.asarray(pair["y0"], dtype=float)
 
 
+def _kinetic_metric(model: KineticModel, sim: SimConfig):
+    """The unit-friction model that the kinetic coupling simulates, with the
+    metric constants and table built from that same model."""
+    norm = normalize_kinetic(model)
+    m = norm.model
+    params = metric_constants(m.k_matrix, m.lip_inner, m.lip_outer, m.radius)
+    return norm, params, build_metric(params, n_smooth=sim.n_smooth)
+
+
 def _run_estimator(name: str, params: dict, model, sim: SimConfig, cfg: dict) -> dict:
     """Run one named estimator; returns a record with a tri-state flag
     (True/False = checked against a bound, None = informational)."""
@@ -268,11 +277,7 @@ def _run_estimator(name: str, params: dict, model, sim: SimConfig, cfg: dict) ->
     elif name == "w1_kinetic":
         if not isinstance(model, KineticModel):
             raise ConfigError("w1_kinetic needs a kinetic scenario")
-        params_m = metric_constants(
-            model.k_matrix, model.lip_inner, model.lip_outer, model.radius
-        )
-        table = build_metric(params_m, n_smooth=sim.n_smooth)
-        norm = normalize_kinetic(model)
+        norm, params_m, table = _kinetic_metric(model, sim)
         x0, y0 = _pair_points(params, 2 * model.d)
         rep = w1_contraction(
             "kinetic", norm, x0, y0, sim,
@@ -528,12 +533,9 @@ def cmd_dump(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool) -> int:
     if kind == "kinetic":
         if not isinstance(model, KineticModel):
             raise ConfigError("kinetic dump needs a kinetic scenario")
-        params = metric_constants(model.k_matrix, model.lip_inner, model.lip_outer,
-                                  model.radius)
-        table = build_metric(params, n_smooth=sim.n_smooth)
+        norm, params, table = _kinetic_metric(model, sim)
         x0, y0 = _pair_points(cfg, 2 * model.d)
-        traj = kinetic_coupled_pair(normalize_kinetic(model), table, params,
-                                    x0, y0, sim, n_paths=n_paths,
+        traj = kinetic_coupled_pair(norm, table, params, x0, y0, sim, n_paths=n_paths,
                                     record_every=max(sim.n_steps // 500, 1))
     else:
         x0, y0 = _pair_points(cfg, model.d)

@@ -19,7 +19,9 @@ Wasserstein-distance decay.
 The construction is parameterized by a smoothing index n (thresholds live at
 r0 + 1/n); n = inf gives the limiting objects.  All quadratures are adaptive
 Simpson with absolute tolerance ``quad_tol``; tabulated functions use
-monotone cubic (PCHIP) interpolation between grid nodes.
+monotone cubic (PCHIP) interpolation between grid nodes, computed in this
+module with numpy alone (``_Pchip``, bit-identical to scipy's
+``PchipInterpolator``).
 
 Degenerate case R = 0: eps and C1 involve 1/R and are singular, so the
 module returns rho = G, kappa = kappa_2, C1 = sqrt(2)/lambda instead
@@ -159,12 +161,56 @@ def _cellwise_simpson(
     raise QuadratureError(f"{a.size} subintervals left after {max_depth} refinement levels")
 
 
-def _pchip(grid: np.ndarray, values: np.ndarray):
-    """Monotone cubic interpolant; scipy.interpolate loads on first use only,
-    so importing nesslsi does not pay for it."""
-    from scipy.interpolate import PchipInterpolator
+def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, shape-preserving (Moler, pchiptx)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    return PchipInterpolator(grid, values)
+
+class _Pchip:
+    """Monotone piecewise cubic Hermite interpolant (Fritsch-Butland slopes),
+    extrapolating the end cubics.  Gives the same bits as
+    ``scipy.interpolate.PchipInterpolator`` on the same data: the slopes,
+    the coefficients and the evaluation order all follow scipy's."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ValueError("x and y must be 1-d of equal length >= 2")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("x and y must be finite")
+        h = x[1:] - x[:-1]
+        if np.any(h <= 0):
+            raise ValueError("x must be strictly increasing")
+        m = (y[1:] - y[:-1]) / h
+        if x.size == 2:
+            dk = np.array([m[0], m[0]])
+        else:
+            # weighted harmonic mean of the adjacent slopes, 0 at flat
+            # segments and where the slope changes sign
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                inner = np.where(flat, 0.0, 1.0 / whmean)
+            dk = np.concatenate([[_edge_slope(h[0], h[1], m[0], m[1])], inner,
+                                 [_edge_slope(h[-1], h[-2], m[-1], m[-2])]])
+        t = (dk[:-1] + dk[1:] - 2 * m) / h
+        self.x = x
+        self.c = (t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1])
+
+    def __call__(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        s = r - self.x[i]
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        return ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s)
 
 
 @dataclass(frozen=True)
@@ -191,9 +237,9 @@ class MetricTable:
 
     def __post_init__(self):
         if self.grid.size >= 2:
-            object.__setattr__(self, "_f_interp", _pchip(self.grid, self.f_vals))
-            object.__setattr__(self, "_g_interp", _pchip(self.grid, self.g_vals))
-            object.__setattr__(self, "_phi_interp", _pchip(self.grid, self.phi_primitive))
+            object.__setattr__(self, "_f_interp", _Pchip(self.grid, self.f_vals))
+            object.__setattr__(self, "_g_interp", _Pchip(self.grid, self.g_vals))
+            object.__setattr__(self, "_phi_interp", _Pchip(self.grid, self.phi_primitive))
         else:
             object.__setattr__(self, "_f_interp", None)
             object.__setattr__(self, "_g_interp", None)
@@ -321,7 +367,7 @@ def build_metric(
 
     phi_cells = _cellwise_simpson(phi, grid, quad_tol)
     phi_primitive = np.concatenate([[0.0], np.cumsum(phi_cells)])
-    phi_interp = _pchip(grid, phi_primitive)
+    phi_interp = _Pchip(grid, phi_primitive)
 
     def integrand_a(u: np.ndarray) -> np.ndarray:
         return phi_interp(u) / phi(u)
@@ -338,7 +384,7 @@ def build_metric(
     eps = min(0.5 / cum_b[-1], 4.0 / (9.0 * radius))
 
     g_vals = 1.0 - 0.5 * kappa1 * cum_a - 0.5 * eps * cum_b
-    g_interp = _pchip(grid, g_vals)
+    g_interp = _Pchip(grid, g_vals)
 
     def integrand_f(u: np.ndarray) -> np.ndarray:
         return phi(u) * g_interp(u)

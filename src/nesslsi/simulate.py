@@ -360,14 +360,12 @@ def synchronous_pair(
     return _pair_trajectory(out, "synchronous")
 
 
-def _unit_or_e1(delta: np.ndarray) -> np.ndarray:
-    """delta/|delta| with the convention (1, 0, ..., 0) at delta = 0."""
-    norm = np.linalg.norm(delta, axis=-1, keepdims=True)
+def _unit_or_e1(delta: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """delta/|delta| row by row, given norm = |delta|, with the convention
+    (1, 0, ..., 0) at delta = 0."""
     e = np.zeros_like(delta)
-    e[..., 0] = 1.0
-    safe = norm[..., 0] > 0.0
-    e[safe] = delta[safe] / norm[safe]
-    return e
+    e[:, 0] = 1.0
+    return np.divide(delta, norm[:, None], out=e, where=norm[:, None] > 0.0)
 
 
 def _radial_step(model: EllipticModel, cfg: SimConfig, cross_tol, second: Callable) -> Callable:
@@ -378,7 +376,8 @@ def _radial_step(model: EllipticModel, cfg: SimConfig, cross_tol, second: Callab
     sqdt = math.sqrt(cfg.dt)
 
     def step(k, x, y, active):
-        e = _unit_or_e1(x - y)
+        delta = x - y
+        e = _unit_or_e1(delta, np.linalg.norm(delta, axis=-1))
         dB = sqdt * noise_normals(cfg.seed, k, CH_MAIN, x.shape)
         x_new = x + model.drift(x) * cfg.dt + model.sigma * dB
         y_new = np.where(active[:, None], second(k, y, dB, e, active), x_new)
@@ -510,16 +509,20 @@ def kinetic_coupled_pair(
     zp = _as_batch(z0_prime, n_paths, 2 * d)
 
     def weights(z_, zp_):
-        dx = z_[:, :d] - zp_[:, :d]
-        dq = dx + (z_[:, d:] - zp_[:, d:])
+        delta = z_ - zp_
+        dx = delta[:, :d]
+        dq = dx + delta[:, d:]
         dqn = np.linalg.norm(dq, axis=-1)
         r = theta * np.linalg.norm(dx, axis=-1) + dqn
-        return rc_profile(r, dqn, r0, cfg.n_smooth), _unit_or_e1(dq)
+        return rc_profile(r, dqn, r0, cfg.n_smooth), _unit_or_e1(dq, dqn)
 
     sq2, sqdt = math.sqrt(2.0), math.sqrt(cfg.dt)
+    # the weights of the state the next step starts from; the rc recorded
+    # after a step is the rc the following step mixes with
+    rc, e = weights(z, zp)
 
     def step(k, z, zp, active):
-        rc, e = weights(z, zp)
+        nonlocal rc, e
         sc = np.sqrt(np.clip(1.0 - rc * rc, 0.0, 1.0))
         dB = sqdt * noise_normals(cfg.seed, k, CH_MAIN, (n_paths, d))
         dBpp = sqdt * noise_normals(cfg.seed, k, CH_AUX, (n_paths, d))
@@ -531,10 +534,11 @@ def kinetic_coupled_pair(
         z_new[:, d:] += sq2 * dB
         zp_new = zp + model.control_drift(zp) * cfg.dt
         zp_new[:, d:] += sq2 * (rc_ * refl + sc_ * dB_sc)
+        rc, e = weights(z_new, zp_new)
         return z_new, zp_new, None
 
     out = _integrate(cfg, step, z, zp, record_every=record_every,
-                     rc_of=lambda z_, zp_, active: weights(z_, zp_)[0])
+                     rc_of=lambda z_, zp_, active: rc)
     return _pair_trajectory(out, "kinetic")
 
 

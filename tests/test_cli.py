@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import nesslsi
 from nesslsi.cli import main
 
@@ -24,14 +27,31 @@ def _constants_config(tmp_path, out):
 
 
 def test_import_leaves_scipy_submodules_unloaded():
-    """Only the kinetic metric and mckv use scipy; importing the package and
-    its CLI must not load scipy.interpolate or scipy.optimize."""
+    """Only mckv uses scipy; importing the package and its CLI, building a
+    kinetic metric, evaluating rho_star and running the kinetic coupling
+    must not load scipy.interpolate or scipy.optimize."""
     src = str(Path(nesslsi.__file__).resolve().parents[1])
-    code = ("import sys, nesslsi, nesslsi.cli; "
-            "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
+    code = """
+import sys
+import numpy as np
+import nesslsi, nesslsi.cli
+from nesslsi import build_metric, make_scenario, metric_constants, rho_star
+from nesslsi.models import normalize_kinetic
+from nesslsi.simulate import SimConfig, kinetic_coupled_pair
+loaded = lambda: [m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules]
+print(loaded())
+kin = make_scenario("kinetic-quadratic", {"d": 2})
+params = metric_constants(kin.k_matrix, kin.lip_inner, kin.lip_outer, kin.radius)
+table = build_metric(params, n_smooth=1000)
+z0, zp0 = np.array([1.5, 0.0, 0.0, 0.0]), np.zeros(4)
+rho_star(table, params, z0, zp0)
+kinetic_coupled_pair(normalize_kinetic(kin), table, params, z0, zp0,
+                     SimConfig(dt=0.01, t_final=0.1, seed=1), n_paths=4)
+print(loaded())
+"""
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 def test_constants_command_reference_values(tmp_path, capsys):
@@ -178,6 +198,31 @@ def test_verify_kinetic_scenario(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert report["summary"]["flags"]["w1_kinetic"] is True
+    capsys.readouterr()
+
+
+def test_verify_kinetic_metric_is_that_of_the_normalized_model(tmp_path, capsys):
+    """At gamma = 2 the coupling runs on the unit-friction model, so rho0 and
+    the envelope must use that model's metric, not the gamma-model's."""
+    from nesslsi import build_metric, make_scenario, metric_constants, rho_star
+    from nesslsi.models import normalize_kinetic
+
+    out = tmp_path / "out"
+    x0, y0 = [2.0, 0.0, 0.0, 0.0], [-1.0, 0.5, 0.0, 0.0]
+    cfg = _write(tmp_path, {
+        "scenario": "kinetic-quadratic",
+        "model": {"d": 2, "gamma": 2.0, "radius": 1.0},
+        "sim": {"dt": 1e-2, "t_final": 0.5, "seed": 8, "n_smooth": 1000},
+        "estimators": {"w1_kinetic": {"n_paths": 1000, "pair": {"x0": x0, "y0": y0}}},
+        "out_dir": str(out),
+    })
+    assert main(["verify", "--config", cfg]) in (0, 1)
+    record = json.loads((out / "verify_report.json").read_text())["records"][0]
+    m = normalize_kinetic(make_scenario("kinetic-quadratic", {"d": 2, "gamma": 2.0})).model
+    params = metric_constants(m.k_matrix, m.lip_inner, m.lip_outer, m.radius)
+    table = build_metric(params, n_smooth=1000)
+    expected = float(rho_star(table, params, np.array(x0), np.array(y0)))
+    assert record["rho0"] == pytest.approx(expected, rel=1e-12)
     capsys.readouterr()
 
 
@@ -357,4 +402,28 @@ def test_threads_do_not_change_results(tmp_path, capsys):
         return json.loads((out / "verify_report.json").read_text())["records"]
 
     assert run(1, "t1") == run(4, "t4")
+    capsys.readouterr()
+
+
+def test_threads_do_not_change_kinetic_sweep(tmp_path, capsys):
+    def run(threads, sub):
+        out = tmp_path / sub
+        cfg = _write(tmp_path, {
+            "scenario": "kinetic-quadratic",
+            "model": {"d": 2, "gamma": 1.0, "radius": 1.0},
+            "sim": {"dt": 1e-2, "t_final": 1.0, "seed": 12, "n_smooth": 1000},
+            "estimators": {"w1_kinetic": {"n_paths": 1000}},
+            "sweep": {"estimator": "w1_kinetic", "parameter": "pair", "values": [
+                {"x0": [2.0, 0.0, 0.0, 0.0], "y0": [-1.0, 0.5, 0.0, 0.0]},
+                {"x0": [0.5, -1.0, 0.3, 0.0], "y0": [0.0, 0.2, -0.4, 1.0]},
+                {"x0": [1.0, 1.0, 0.0, 0.0], "y0": [-2.0, -1.5, 0.5, 0.5]},
+            ]},
+            "out_dir": str(out),
+        }, name=f"{sub}.json")
+        assert main(["sweep", "--config", cfg, "--threads", str(threads)]) == 0
+        return json.loads((out / "sweep_report.json").read_text())["records"]
+
+    records = run(1, "t1")
+    assert all("error" not in r for r in records)
+    assert records == run(2, "t2")
     capsys.readouterr()

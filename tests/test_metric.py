@@ -7,6 +7,8 @@ from scipy.special import erf
 
 from nesslsi.metric import (
     MetricTable,
+    _edge_slope,
+    _Pchip,
     build_metric,
     g_quadratic,
     metric_constants,
@@ -303,3 +305,53 @@ METRIC_GOLDEN = {
 def test_metric_golden_hash(case):
     """build_metric and rho_star reproduce their pinned output bit for bit."""
     assert _metric_digest(*_golden_tables()[case]) == METRIC_GOLDEN[case]
+
+
+def _assert_pchip_matches_scipy(x, y, r):
+    from scipy.interpolate import PchipInterpolator
+
+    ours, ref = _Pchip(x, y)(r), PchipInterpolator(x, y)(r)
+    assert ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(c for c in _golden_tables() if c != "radius0"))
+def test_pchip_matches_scipy_on_metric_tables(case):
+    """The tables' interpolants equal scipy's bit for bit at random points,
+    every grid node and both endpoints, inside and just outside the table."""
+    params, n_smooth = _golden_tables()[case]
+    table = build_metric(params, quad_tol=1e-10, n_smooth=n_smooth)
+    x = table.grid
+    r = np.concatenate([
+        np.random.default_rng(11).uniform(-0.05 * x[-1], 1.05 * x[-1], 200_000),
+        x, [x[0], x[-1]],
+    ])
+    for y in (table.phi_primitive, table.g_vals, table.f_vals):
+        _assert_pchip_matches_scipy(x, y, r)
+
+
+def test_pchip_matches_scipy_on_flat_runs_and_sign_changes():
+    gen = np.random.default_rng(12)
+    x = np.cumsum(gen.uniform(0.05, 2.0, 60))
+    y = np.repeat(gen.integers(-3, 4, 30).astype(float), 2)   # flat runs
+    y[::7] += gen.standard_normal(y[::7].size)                 # sign changes
+    r = np.concatenate([gen.uniform(x[0] - 1.0, x[-1] + 1.0, 20_000), x])
+    _assert_pchip_matches_scipy(x, y, r)
+
+
+def test_pchip_matches_scipy_on_two_and_three_points():
+    # the three end-slope branches: sign flip -> 0, overshoot -> 3 m0, else d
+    assert _edge_slope(1.0, 1.0, 1.0, 10.0) == 0.0
+    assert _edge_slope(1.0, 1.0, 1.0, -5.0) == 3.0
+    assert _edge_slope(1.0, 1.0, 10.0, 1.0) == 14.5
+    grids = [
+        ([0.0, 1.5], [2.0, -1.0]),              # linear
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 11.0]),    # left slope flips, right plain
+        ([0.0, 1.0, 2.0], [0.0, 1.0, -4.0]),    # left overshoot, interior sign change
+        ([0.0, 0.5, 3.0], [1.0, 1.0, 2.0]),     # flat segment
+        ([-1.0, 0.25, 2.0], [3.0, -0.5, -2.0]),
+    ]
+    for x, y in grids:
+        x, y = np.array(x), np.array(y)
+        r = np.concatenate([np.linspace(x[0] - 0.5, x[-1] + 0.5, 101), x])
+        _assert_pchip_matches_scipy(x, y, r)

@@ -293,6 +293,24 @@ def test_kinetic_pair_rc_sc_identity(kinetic_bench):
     np.testing.assert_allclose(traj.rc**2 + traj.sc**2, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("record_every", [1, 3, 40])   # 40 = n_steps
+def test_kinetic_pair_rc_is_that_of_recorded_states(kinetic_bench, record_every):
+    """The recorded rc is rc_profile of the recorded pair, bit for bit."""
+    model, params, table = kinetic_bench
+    cfg = SimConfig(dt=0.05, t_final=2.0, seed=43, n_smooth=5)
+    z0 = np.array([1.5, 0.0, 0.0, 0.0])
+    zp0 = np.array([0.0, 0.5, 0.5, -0.5])
+    traj = kinetic_coupled_pair(normalize_kinetic(model), table, params, z0, zp0, cfg,
+                                n_paths=6, record_every=record_every)
+    delta = traj.z - traj.z_prime
+    dx = delta[..., :2]
+    dq = dx + delta[..., 2:]
+    dqn = np.linalg.norm(dq, axis=-1)
+    r = params.theta * np.linalg.norm(dx, axis=-1) + dqn
+    np.testing.assert_array_equal(traj.rc, rc_profile(r, dqn, params.r0, cfg.n_smooth))
+    assert traj.rc.max() > 0.0
+
+
 def test_kinetic_pair_marginal_moments_match_independent_run(kinetic_bench):
     """The reassembled Brownian motion is again a Brownian motion, so the
     second copy's marginal law equals that of a plain simulation."""
