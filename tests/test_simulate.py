@@ -457,6 +457,7 @@ def _golden_runs():
     """
     from nesslsi.estimators import elliptic_fk_system, feynman_kac_h, kinetic_fk_system
     from nesslsi.metric import build_metric, metric_constants
+    from nesslsi.models import _bump, derive_elliptic_fields
     from nesslsi.simulate import CH_AUX, CH_MAIN
 
     ou2 = make_scenario("ou", {"d": 2})
@@ -483,6 +484,33 @@ def _golden_runs():
         est = feynman_kac_h(system, x, 1.7, 32, cfg)
         return [est.value, est.stderr]
 
+    # the criterion-10 bump model (a = 0.5) and its dual drift b_tilde
+    b0 = lambda s: -s
+    b1 = lambda s: 0.5 * _bump(s)
+    bump = EllipticModel(d=1, drift=lambda s: b0(s) + b1(s), sigma=math.sqrt(2.0), rho=0.1,
+                         lip=1.0, radius=2.0, b0=b0, b1=b1, grad_log_ref=lambda s: -s)
+    fields = derive_elliptic_fields(bump)
+    bt = EllipticModel(d=1, drift=fields.b_tilde, sigma=math.sqrt(2.0), rho=0.1, lip=1.0,
+                       radius=2.0)
+    below1 = np.nextafter(1.0, 0.0)
+    edges = np.array([0.0, below1, -below1, 1.0, -1.0, 1.5, -1.5, np.inf, -np.inf])
+    grid = np.concatenate([edges, np.linspace(-2.0, 2.0, 401)])[:, None]
+    zero = np.zeros_like(edges)
+    plane = np.concatenate([np.column_stack([edges, zero]), np.column_stack([zero, edges]),
+                            np.outer(edges, [0.6, -0.8]),
+                            np.random.default_rng(5).normal(0.0, 0.8, (200, 2))])
+    rotating = make_scenario("rotating", {"v_amp": 0.4, "v_width": 1.0})
+    rx = np.linspace(-1.6, 1.6, 64)[:, None]
+    ry = 1.5 * np.linspace(1.0, -1.0, 64)[:, None] ** 3
+    ry[0] = rx[0]
+    hx = np.linspace(-1.5, 1.5, 16)[:, None]
+    hy = np.linspace(1.2, -0.9, 16)[:, None]
+    hy[5] = hx[5]
+
+    def fields_of(fns, pts):
+        with np.errstate(all="ignore"):    # inf - inf at the infinite grid points
+            return [fn(pts) for fn in fns]
+
     return {
         "em_main": lambda: [em_path(ou2, x2[0], cfg, 5, 3, CH_MAIN).states],
         "em_aux": lambda: [em_path(ou2, x2[0], cfg, 5, 3, CH_AUX).states],
@@ -503,6 +531,10 @@ def _golden_runs():
             lambda s: -s, lambda s: -0.3 * s[..., 0] ** 2 + 0.1 * s[..., 0], 1), np.array([0.4])),
         "fk_kinetic": lambda: fk(kinetic_fk_system(
             kin, potential=lambda z: 0.05 * np.sum(z * z, axis=-1) - 0.2), np.zeros(4)),
+        "bump_fields": lambda: fields_of([fields.b_tilde, fields.phi, bump.drift], grid),
+        "rotating_bump": lambda: fields_of([rotating.drift], plane),
+        "reflection_bump": lambda: pair_arrays(reflection_pair(bt, rx, ry, cfg, 64, 1)),
+        "harnack_staggered": lambda: pair_arrays(harnack_pair(dw, hx, hy, cfg, 0.5, None, 16, 1)),
     }
 
 
@@ -521,6 +553,7 @@ def _digest(values) -> str:
 # The hashes pin every float operation of the simulators, including how each
 # product is associated; a refactor that regroups one changes its hash.
 GOLDEN = {
+    "bump_fields": "c759a99b0ff35b268bf79a22ab7d6fdcfecf2abe27ef3eb396e0b22718ba4375",
     "em_aux": "d5a4c12a04c977bf0e3e6d713c99eabc474bb463807d3c96e3693c7e4e59726a",
     "em_kinetic": "cb10af56358ae3617ded3a6eb4d2db369f90d3e127f9a4748e4a7956fa81d8a8",
     "em_main": "1184866959144451b29a838ad7b00033946c7db12f32ea072fff94e42b03b6fd",
@@ -529,11 +562,14 @@ GOLDEN = {
     "harnack_horizon": "f46982295c282714d9e7435c7a715071f79b142f6510222f17dc107622ebf094",
     "harnack_kw": "dc85ffbd339d4e66082b61d0d43f995ecf78474bb37acc678741d869aaca4250",
     "harnack_kw0": "c514be0e8f88a1625f35dbf7b144c6412ff994d1a003d98450980ebc5915664f",
+    "harnack_staggered": "a283e669446826b87c46469026ba7061929c0a3fd5c95f73148f6aa08f6d4864",
     "kinetic_n1000": "00206bd766ebd895129a63655dc0ffd1ba4949a19764e648c9f1325a7dc6f10d",
     "kinetic_n5": "e6aa3e7390c55a2759a44596546f873e26ff74356bbeec64b057300ee7322e03",
     "kinetic_ninf": "00206bd766ebd895129a63655dc0ffd1ba4949a19764e648c9f1325a7dc6f10d",
     "reflection": "d50e452a3552c132c568a58839872b559b551702d8855da108d21dde10f7fb4b",
+    "reflection_bump": "134723adc010a2cb4d63bf680ff9026778e336891c83b069b9a3cbe1ed4bb56b",
     "reflection_equal": "fc36ff8d71514ee1ffccb4fda98b29f170cf10d2c4ce1feaf10dead8085f5c77",
+    "rotating_bump": "658c3c3febe89f2b251497c63fa92222cfdc5646bdd1a324f5d3bff88517ecee",
     "synchronous": "e81a091cb66e6a6197b8e77b80d26478b674d18fd326cb23ffd1f2f4b0748582",
 }
 
