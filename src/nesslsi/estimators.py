@@ -34,6 +34,7 @@ from .simulate import (
     _as_batch,
     _em_step,
     _integrate,
+    _record_index,
     derive_seed,
     em_path,
     kinetic_coupled_pair,
@@ -252,25 +253,28 @@ def coalescence_probability(
         raise ValueError("need n_paths >= 1000")
     if record_every is None:
         record_every = max(cfg.n_steps // 200, 1)
-    traj = reflection_pair(model, x0, y0, cfg, n_paths, record_every)
+    # only merge times are read, so record the end points alone; the survival
+    # grid is the one reflection_pair would have recorded at record_every
+    traj = reflection_pair(model, x0, y0, cfg, n_paths, cfg.n_steps)
+    times = _record_index(cfg.n_steps, record_every) * cfg.dt
     merge_t = np.where(np.isnan(traj.merge_time), np.inf, traj.merge_time)
-    alive = traj.times[:, None] < merge_t[None, :]
+    alive = times[:, None] < merge_t[None, :]
     survival = alive.mean(axis=1)
 
     # fit only where decay has started: an all-alive prefix carries no
     # information about the c e^{-kappa t}/t shape
-    pos = (survival > 0) & (survival < 1) & (traj.times > 0)
+    pos = (survival > 0) & (survival < 1) & (times > 0)
     fit = None
     envelope_factor = None
     envelope_ok = None
     if pos.sum() >= 3:
         # p_t ~ c exp(-kappa t)/t  <=>  ln(p_t t) = ln c - kappa t
-        fit = fit_exponential_rate(traj.times[pos], survival[pos] * traj.times[pos])
-        model_curve = fit.c_hat * np.exp(-fit.kappa_hat * traj.times[pos]) / traj.times[pos]
+        fit = fit_exponential_rate(times[pos], survival[pos] * times[pos])
+        model_curve = fit.c_hat * np.exp(-fit.kappa_hat * times[pos]) / times[pos]
         envelope_factor = float(np.max(survival[pos] / model_curve))
         envelope_ok = bool(envelope_factor <= math.exp(3.0 * fit.residual) + 1e-9)
     return CoalescenceReport(
-        times=traj.times, survival=survival, fit=fit,
+        times=times, survival=survival, fit=fit,
         envelope_factor=envelope_factor, envelope_ok=envelope_ok,
     )
 

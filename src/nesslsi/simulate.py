@@ -24,8 +24,9 @@ Couplings:
 Merging in discrete time is declared either when the separation falls below
 merge_tol * (1 + initial separation), or when the signed radial coordinate
 of the updated difference crosses zero (exact hits are almost surely missed
-on a grid, crossings are not).  Merged pairs are advanced identically and
-never separate.
+on a grid, crossings are not).  After every step a merged pair's second
+copy is set to its first, so merged pairs never separate; in the reflection
+and Harnack couplings a merged pair steps only its first copy.
 
 Every simulator, the Feynman-Kac weight in ``estimators`` included, runs
 the one time loop ``_integrate``, which owns the record buffers (states and
@@ -368,25 +369,40 @@ def _unit_or_e1(delta: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return np.divide(delta, norm[:, None], out=e, where=norm[:, None] > 0.0)
 
 
-def _radial_step(model: EllipticModel, cfg: SimConfig, cross_tol, second: Callable) -> Callable:
-    """One step of an elliptic pair whose unmerged second copy moves by
-    ``second(k, y, dB, e, active)``, e the unit separation before the step.
-    The pair hits when the radial coordinate of the new difference crosses
-    zero or the separation falls below ``cross_tol``."""
+def _radial_step(model: EllipticModel, cfg: SimConfig, cross_tol: np.ndarray,
+                 second: Callable) -> Callable:
+    """One step of an elliptic pair.  Only the active (unmerged) pairs move
+    their second copy, by ``second(idx, y, dB, e)``: ``idx`` indexes their
+    rows (a slice when every pair is active), y and dB are those rows and e
+    their unit separation before the step.  A merged second copy is set to
+    the first.  An active pair hits when the radial coordinate of the new
+    difference crosses zero or the separation falls below ``cross_tol``."""
     sqdt = math.sqrt(cfg.dt)
 
     def step(k, x, y, active):
-        delta = x - y
-        e = _unit_or_e1(delta, np.linalg.norm(delta, axis=-1))
         dB = sqdt * noise_normals(cfg.seed, k, CH_MAIN, x.shape)
         x_new = x + model.drift(x) * cfg.dt + model.sigma * dB
-        y_new = np.where(active[:, None], second(k, y, dB, e, active), x_new)
-        delta_new = x_new - y_new
+        y_new = x_new.copy()
+        hit = np.zeros(x.shape[0], dtype=bool)
+        if active.all():        # a slice takes the rows as views: no gather
+            idx, rows = slice(None), lambda a: a
+        elif active.any():
+            # take() gathers rows several times faster than a[idx] for d > 1
+            idx = np.flatnonzero(active)
+            rows = lambda a: a.take(idx, axis=0)
+        else:
+            return x_new, y_new, hit
+        delta = rows(x) - rows(y)
+        e = _unit_or_e1(delta, np.linalg.norm(delta, axis=-1))
+        y_act = second(idx, rows(y), rows(dB), e)
+        y_new[idx] = y_act
+        delta_new = rows(x_new) - y_act
         radial = np.sum(e * delta_new, axis=-1)
         # a non-finite difference (radial -inf or nan) is no crossing: merging
         # would overwrite the diverged copy before the finiteness check sees it
         crossed = (radial <= 0.0) & (radial > -np.inf)
-        return x_new, y_new, crossed | (np.linalg.norm(delta_new, axis=-1) <= cross_tol)
+        hit[idx] = crossed | (np.linalg.norm(delta_new, axis=-1) <= rows(cross_tol))
+        return x_new, y_new, hit
 
     return step
 
@@ -408,7 +424,7 @@ def reflection_pair(
     y = _as_batch(y0, n_paths, model.d)
     tol = _merge_tol_effective(cfg, x, y)
 
-    def reflected(k, y, dB, e, active):
+    def reflected(idx, y, dB, e):
         refl = dB - 2.0 * e * np.sum(e * dB, axis=-1, keepdims=True)
         return y + b(y) * cfg.dt + sigma * refl
 
@@ -451,9 +467,9 @@ def harnack_pair(
     cross_tol = np.maximum(tol, (xi_drift - k_w) * cfg.dt)
     ito = np.zeros(n_paths)     # int e . dB up to merge
 
-    def drifted(k, y, dB, e, active):
-        ito[active] += np.sum(e * dB, axis=-1)[active]
-        return y + b(y) * cfg.dt + sigma * dB + (xi_drift * cfg.dt)[:, None] * e
+    def drifted(idx, y, dB, e):
+        ito[idx] += np.sum(e * dB, axis=-1)
+        return y + b(y) * cfg.dt + sigma * dB + (xi_drift[idx] * cfg.dt)[:, None] * e
 
     out = _integrate(cfg, _radial_step(model, cfg, cross_tol, drifted), x, y,
                      record_every=record_every, tol=tol, accumulators=(ito,))

@@ -308,3 +308,30 @@ def test_scenario_registry_unknown_name():
 def test_scenario_double_well_drift():
     m = make_scenario("double-well")
     np.testing.assert_allclose(m.drift(np.array([1.1])), [1.1 - 1.1**3])
+
+
+def _bump_by_gather(x, prime=False):
+    """The bump (or its derivative) on the inside entries only, scattered
+    into zeros: the reference the select-based evaluation must equal."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    inside = np.abs(x) < 1.0
+    xi = x[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - xi * xi))
+    if prime:
+        out[inside] *= -2.0 * xi / (1.0 - xi * xi) ** 2
+    return out
+
+
+def test_bump_equals_gather_reference_bit_for_bit():
+    from nesslsi.models import _bump, _bump_prime
+
+    below1 = np.nextafter(1.0, 0.0)
+    edges = [0.0, -0.0, below1, -below1, 1.0, -1.0, 1.5, -1.5, np.inf, -np.inf, np.nan]
+    xs = np.concatenate([edges, np.random.default_rng(3).uniform(-1.3, 1.3, 100_000)])
+    for x in (xs, xs.reshape(-1, 3), np.float64(0.25), np.float64(1.0)):
+        with np.errstate(all="raise"):
+            got, got_prime = _bump(x), _bump_prime(x)
+        assert got.shape == got_prime.shape == np.shape(x)
+        assert got.tobytes() == _bump_by_gather(x).tobytes()
+        assert got_prime.tobytes() == _bump_by_gather(x, prime=True).tobytes()

@@ -442,6 +442,37 @@ def test_blow_up_raised_at_any_step(simulator, identity_params, identity_table, 
     assert err.value.n_bad >= 1
 
 
+@pytest.mark.parametrize("coupling", ["reflection", "harnack"])
+def test_merged_pairs_step_only_the_first_copy(coupling):
+    """The second copy's drift is evaluated on the unmerged pairs only."""
+    dw = make_scenario("double-well")
+    rows = []
+
+    def counted(x):
+        rows.append(x.shape[0])
+        return dw.drift(x)
+
+    model = EllipticModel(d=1, drift=counted, sigma=dw.sigma, rho=1.0, lip=1.0, radius=3.0)
+    cfg = SimConfig(dt=0.05, t_final=2.0, seed=17)
+    run = {"reflection": lambda x, y, n: reflection_pair(model, x, y, cfg, n),
+           "harnack": lambda x, y, n: harnack_pair(model, x, y, cfg, 0.5, None, n)}[coupling]
+
+    run(np.array([0.3]), np.array([0.3]), 8)
+    assert rows == [8] * cfg.n_steps
+
+    rows.clear()
+    x = np.linspace(-1.5, 1.5, 16)[:, None]
+    y = np.linspace(1.2, -0.9, 16)[:, None]
+    y[5] = x[5]
+    merge_step = np.round(run(x, y, 16).merge_time / cfg.dt)
+    expected = []
+    for k in range(cfg.n_steps):
+        n_active = int(np.sum(~(merge_step <= k)))
+        expected += [16, n_active] if n_active else [16]
+    assert np.unique(merge_step[merge_step > 0]).size > 5     # staggered merges
+    assert rows == expected
+
+
 def test_pair_csv_rows(ou1):
     cfg = SimConfig(dt=0.1, t_final=0.3, seed=20)
     traj = reflection_pair(ou1, np.array([1.0]), np.array([0.0]), cfg, n_paths=2)
