@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .estimators import (
 )
 from .metric import build_metric, metric_constants
 from .models import (
+    SCENARIOS,
     KineticModel,
     make_scenario,
     normalize_kinetic,
@@ -68,11 +72,15 @@ class ConfigError(ValueError):
     pass
 
 
+# Errors that end a run midway: verify and sweep record them per estimator,
+# and anywhere else they exit 3.
+_RUNTIME_ABORTS = (EstimatorDiverged, UnstableLogError, WeightOverflowError,
+                   SimulationBlowUp, FloatingPointError)
+
 _TOP_KEYS = {
     "scenario", "model", "sim", "coupling", "estimators", "constants",
     "metric", "sweep", "out_dir", "pair", "n_paths",
 }
-_SIM_KEYS = {"dt", "t_final", "seed", "merge_tol", "n_smooth"}
 _OBJECT_KEYS = ("sim", "model", "constants", "metric", "estimators", "sweep", "pair")
 
 
@@ -93,35 +101,104 @@ def _load_config(path: str) -> dict:
     for name, params in cfg.get("estimators", {}).items():
         if not isinstance(params, dict):
             raise ConfigError(f"estimator {name!r}: parameters must be a JSON object")
-    if "sim" in cfg:
-        bad = set(cfg["sim"]) - _SIM_KEYS
-        if bad:
-            raise ConfigError(f"unknown sim keys: {sorted(bad)}")
     return cfg
 
 
+# Initial points (x0, y0) of a coupled pair, given in a config as
+# {"x0": [...], "y0": [...]} with one entry per state coordinate.
+Pair = tuple[np.ndarray, np.ndarray]
+
+
+def _check_block(fn, block: dict, where: str, dim: int | None = None) -> dict:
+    """Check a config block against the parameters of ``fn`` that can be
+    given by keyword (their names, annotations and defaults) and return the
+    keyword arguments for ``fn``, defaults included.  Numbers given for a
+    ``float`` become floats; a ``Pair`` needs ``dim`` entries per point."""
+    schema = {
+        name: p for name, p in inspect.signature(fn, eval_str=True).parameters.items()
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+    }
+    unknown = set(block) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [name for name, p in schema.items() if p.default is p.empty and name not in block]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    kwargs = {name: p.default for name, p in schema.items() if p.default is not p.empty}
+    for key, value in block.items():
+        kwargs[key] = _check_value(value, schema[key].annotation, f"{where}.{key}", dim)
+    return kwargs
+
+
+def _check_value(value, ann, where: str, dim: int | None):
+    if type(None) in get_args(ann):             # X | None
+        if value is None:
+            return None
+        ann = get_args(ann)[0]
+    if ann == Pair:
+        if not isinstance(value, dict) or set(value) != {"x0", "y0"}:
+            raise ConfigError(f'{where}: expected {{"x0": [...], "y0": [...]}}, got {value!r}')
+        points = [_check_value(value[k], list[float], f"{where}.{k}", dim) for k in ("x0", "y0")]
+        if any(len(p) != dim for p in points):
+            raise ConfigError(f"{where}: x0 and y0 need {dim} entries each")
+        return tuple(np.asarray(p, dtype=float) for p in points)
+    if get_origin(ann) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        (item,) = get_args(ann)
+        return [_check_value(v, item, f"{where}[{i}]", dim) for i, v in enumerate(value)]
+    # bool is an int subclass, but no config value is a bool
+    if ann is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, ann) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected {ann.__name__}, got {value!r}")
+    return value
+
+
+def _check_kind(what: str, kind: str, model) -> None:
+    """Raise unless ``model`` is of the scenario kind that ``what`` runs on
+    (``elliptic``, ``kinetic``, ``competition``, or ``none`` for any)."""
+    if kind == "none":
+        return
+    if model is None:
+        raise ConfigError("config needs a 'scenario' entry")
+    have = ("kinetic" if isinstance(model, KineticModel)
+            else "competition" if isinstance(model, dict) else "elliptic")
+    if have != kind:
+        raise ConfigError(f"{what} runs on {kind} scenarios, not on {have} ones")
+
+
+def _state_dim(model) -> int | None:
+    """Coordinates of one state: d for an elliptic model, 2d for a kinetic one."""
+    return 2 * model.d if isinstance(model, KineticModel) else getattr(model, "d", None)
+
+
 def _sim_config(cfg: dict, seed_override: int | None) -> SimConfig:
-    sim = dict(cfg.get("sim", {}))
-    sim.setdefault("dt", 1e-3)
-    sim.setdefault("t_final", 2.0)
-    sim.setdefault("seed", 0)
+    sim = {"dt": 1e-3, "t_final": 2.0, "seed": 0, **cfg.get("sim", {})}
     if seed_override is not None:
         sim["seed"] = seed_override
     if sim.get("n_smooth") is None:
         sim.pop("n_smooth", None)
+    kwargs = _check_block(SimConfig, sim, "sim")
     try:
-        return SimConfig(**sim)
-    except (TypeError, ValueError) as exc:
+        return SimConfig(**kwargs)
+    except ValueError as exc:
         raise ConfigError(f"bad sim config: {exc}") from exc
 
 
 def _model_from(cfg: dict):
+    """The model of the config's scenario, or None when it names none."""
     name = cfg.get("scenario")
     if name is None:
-        raise ConfigError("config needs a 'scenario' entry")
+        if "model" in cfg:
+            raise ConfigError("a 'model' block needs a 'scenario' entry")
+        return None
+    if not isinstance(name, str) or name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
+    kwargs = _check_block(SCENARIOS[name], cfg.get("model", {}), "model")
     try:
-        return make_scenario(name, cfg.get("model", {}))
-    except (KeyError, ValueError) as exc:
+        return make_scenario(name, kwargs)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -147,26 +224,36 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _constants_block(
+    *, rho: float, sigma: float, L: float = 0.0, R: float = 0.0, d: int = 1,
+    alpha_ext: float = 1.0, sup_inner: float | None = None,
+) -> ConstantsReport:
+    """The constants report of a ``constants`` block."""
+    return constants_report(L=L, rho=rho, R=R, sigma=sigma, d=d, alpha_ext=alpha_ext,
+                            sup_inner=sup_inner)
+
+
+def _metric_block(
+    *, k_matrix: list[list[float]], lip_inner: float = 0.0, lip_outer: float = 0.0,
+    radius: float = 0.0, quad_tol: float = 1e-10, n_smooth: float | None = None,
+):
+    """The metric constants and table of a ``metric`` block; ``n_smooth``
+    None is the limiting construction."""
+    params = metric_constants(np.asarray(k_matrix, dtype=float), lip_inner, lip_outer, radius)
+    table = build_metric(params, quad_tol=quad_tol,
+                         n_smooth=math.inf if n_smooth is None else n_smooth)
+    return params, table
+
+
 def _constants_from(cfg: dict) -> ConstantsReport | None:
     """The constants report of the config's ``constants`` block, or None
     when it has none; unknown keys and bad values are config errors."""
     if "constants" not in cfg:
         return None
-    block = dict(cfg["constants"])
-    bad = set(block) - {"L", "rho", "R", "sigma", "d", "alpha_ext", "sup_inner"}
-    if bad:
-        raise ConfigError(f"unknown constants keys: {sorted(bad)}")
+    kwargs = _check_block(_constants_block, cfg["constants"], "constants")
     try:
-        return constants_report(
-            L=float(block.get("L", 0.0)),
-            rho=float(block["rho"]),
-            R=float(block.get("R", 0.0)),
-            sigma=float(block["sigma"]),
-            d=int(block.get("d", 1)),
-            alpha_ext=float(block.get("alpha_ext", 1.0)),
-            sup_inner=block.get("sup_inner"),
-        )
-    except (KeyError, ValueError) as exc:
+        return _constants_block(**kwargs)
+    except ValueError as exc:
         raise ConfigError(f"bad constants block: {exc}") from exc
 
 
@@ -175,6 +262,7 @@ def cmd_constants(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool) -> 
     if "constants" not in cfg and "metric" not in cfg:
         raise ConfigError("constants command needs a 'constants' and/or 'metric' block")
     rep = _constants_from(cfg)
+    metric = _check_block(_metric_block, cfg["metric"], "metric") if "metric" in cfg else None
     if dry_run:
         return EXIT_OK
     if rep is not None:
@@ -193,26 +281,10 @@ def cmd_constants(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool) -> 
         )
         report["hypercontractivity"] = {"alpha": 2.0, "beta": 3.0, "t0": t0,
                                         "bound_at_2t0": hyper}
-    if "metric" in cfg:
-        block = dict(cfg["metric"])
-        allowed = {"k_matrix", "lip_inner", "lip_outer", "radius", "quad_tol", "n_smooth"}
-        bad = set(block) - allowed
-        if bad:
-            raise ConfigError(f"unknown metric keys: {sorted(bad)}")
+    if metric is not None:
         try:
-            params = metric_constants(
-                np.asarray(block["k_matrix"], dtype=float),
-                float(block.get("lip_inner", 0.0)),
-                float(block.get("lip_outer", 0.0)),
-                float(block.get("radius", 0.0)),
-            )
-            table = build_metric(
-                params,
-                quad_tol=float(block.get("quad_tol", 1e-10)),
-                n_smooth=(math.inf if block.get("n_smooth") is None
-                          else float(block["n_smooth"])),
-            )
-        except (KeyError, ValueError) as exc:
+            params, table = _metric_block(**metric)
+        except ValueError as exc:
             raise ConfigError(f"bad metric block: {exc}") from exc
         report["metric"] = {
             "params": params.to_json(),
@@ -228,17 +300,12 @@ def cmd_constants(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool) -> 
 
 
 # ---------------------------------------------------------------------------
-# verify battery
+# estimators: one runner each, model and sim first, the block's keys after
 # ---------------------------------------------------------------------------
 
 
-def _pair_points(cfg: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    pair = cfg.get("pair")
-    if pair is None:
-        x0 = np.zeros(dim)
-        x0[0] = 1.0
-        return x0, np.zeros(dim)
-    return np.asarray(pair["x0"], dtype=float), np.asarray(pair["y0"], dtype=float)
+def _default_pair(dim: int) -> Pair:
+    return np.eye(dim)[0], np.zeros(dim)
 
 
 def _kinetic_metric(model: KineticModel, sim: SimConfig):
@@ -250,135 +317,143 @@ def _kinetic_metric(model: KineticModel, sim: SimConfig):
     return norm, params, build_metric(params, n_smooth=sim.n_smooth)
 
 
-def _run_estimator(name: str, params: dict, model, sim: SimConfig, cfg: dict) -> dict:
-    """Run one named estimator; returns a record with a tri-state flag
-    (True/False = checked against a bound, None = informational)."""
-    record: dict = {"estimator": name, "params": params}
-    if isinstance(model, KineticModel) and name not in ("w1_kinetic",):
-        raise ConfigError(f"estimator {name} requires an elliptic scenario")
-    if name == "one_sided":
-        rep = probe_one_sided_condition(
-            model, int(params.get("n_pairs", 4096)), seed=sim.seed,
-        )
-        record.update(
-            max_ratio_outside=rep.max_ratio_outside,
-            max_ratio_inside=rep.max_ratio_inside,
-            flag=not rep.violated,
-        )
-    elif name in ("w1_synchronous", "w1_reflection"):
-        x0, y0 = _pair_points(params, model.d)
-        rep = w1_contraction(
-            name.split("_", 1)[1], model, x0, y0, sim,
-            n_paths=int(params.get("n_paths", 2000)),
-        )
-        record.update(fit=rep.fit.to_json(), flag=None,
-                      series={"times": rep.times.tolist(),
-                              "mean_dist": rep.mean_dist.tolist()})
-    elif name == "w1_kinetic":
-        if not isinstance(model, KineticModel):
-            raise ConfigError("w1_kinetic needs a kinetic scenario")
-        norm, params_m, table = _kinetic_metric(model, sim)
-        x0, y0 = _pair_points(params, 2 * model.d)
-        rep = w1_contraction(
-            "kinetic", norm, x0, y0, sim,
-            n_paths=int(params.get("n_paths", 2000)),
-            table=table, params=params_m,
-            slack=float(params.get("slack", 0.10)),
-        )
-        record.update(fit=rep.fit.to_json(), flag=rep.envelope_ok, rho0=rep.rho0)
-    elif name == "coalescence":
-        x0, y0 = _pair_points(params, model.d)
-        rep = coalescence_probability(
-            model, x0, y0, sim, n_paths=int(params.get("n_paths", 4000))
-        )
-        record.update(
-            flag=rep.envelope_ok,
-            envelope_factor=rep.envelope_factor,
-            series={"times": rep.times.tolist(), "survival": rep.survival.tolist()},
-        )
-    elif name == "lyapunov":
-        delta = float(params.get("delta", model.rho / 8.0))
-        est = lyapunov_expectation(
-            model, delta, sim,
-            n_replicas=int(params.get("n_replicas", 64)),
-            samples_per_replica=int(params.get("samples_per_replica", 200)),
-        )
-        record.update(estimate=est.to_json(), flag=est.passed, delta=delta)
-    elif name == "harnack":
-        x0, y0 = _pair_points(params, model.d)
-        cap = float(params.get("clip", math.exp(3.0)))
-        f = lambda s: np.minimum(np.exp(s[..., 0]), cap)
-        chk = harnack_check(
-            model, f, float(params.get("alpha", 2.0)), x0, y0,
-            float(params.get("t", 1.0)), int(params.get("n_paths", 4000)), sim,
-        )
-        record.update(check=chk.to_json(), flag=chk.ok)
-    elif name == "fk_const":
-        c = float(params.get("c", 0.5))
-        T = float(params.get("t", 1.0))
-        sys_ = elliptic_fk_system(
-            lambda s: -s, lambda s: np.full(s.shape[:-1], c), model.d
-        )
-        est = feynman_kac_h(sys_, np.zeros(model.d), T, int(params.get("n_paths", 256)), sim)
-        steps = int(math.ceil(T / sim.dt - 1e-12))
-        target = math.exp(c * steps * sim.dt)
-        record.update(
-            estimate=est.to_json(), target=target,
-            flag=bool(abs(est.value - target) <= 1e-9 + 3.0 * est.stderr),
-        )
-    elif name == "defective_lsi":
-        from .constants import defective_lsi_constants
+def _run_one_sided(model, sim, /, *, n_pairs: int = 4096) -> dict:
+    rep = probe_one_sided_condition(model, n_pairs, seed=sim.seed)
+    return {"max_ratio_outside": rep.max_ratio_outside,
+            "max_ratio_inside": rep.max_ratio_inside, "flag": not rep.violated}
 
-        A, B = defective_lsi_constants(
-            model.lip, model.rho, model.sigma, model.d, model.radius
-        )
-        f = lambda s: 1.0 + 0.1 * np.sin(s[..., 0])
-        grad_f = lambda s: np.concatenate(
-            [0.1 * np.cos(s[..., :1]), np.zeros_like(s[..., 1:])], axis=-1
-        )
-        chk = defective_lsi_check(
-            model, f, grad_f, A, B, sim,
-            n_replicas=int(params.get("n_replicas", 32)),
-            samples_per_replica=int(params.get("samples_per_replica", 200)),
-        )
-        record.update(check=chk.to_json(), A=A, B=B, flag=chk.ok)
-    elif name == "hypercontractivity":
-        c = float(params.get("c", 0.5))
-        alpha = float(params.get("alpha", 2.0))
-        beta = float(params.get("beta", 3.0))
-        t0, _ = hypercontractivity_bound(
-            model.lip, model.rho, model.radius, model.sigma, model.d, alpha, beta,
-            t=1e9,
-        )
-        t = float(params.get("t", 2.0 * t0))
-        probe = hypercontractivity_probe(
-            model, lambda s: np.exp(c * s[..., 0]), alpha, beta, t,
-            n_outer=int(params.get("n_outer", 128)),
-            n_inner=int(params.get("n_inner", 1024)),
-            cfg=sim,
-        )
-        record.update(probe=probe.to_json(), flag=probe.ok)
-    elif name == "mckv":
-        scen = make_scenario("competition", cfg.get("model", {}))
-        rep = mckv_fixed_point(
-            scen["kernel"], scen["grad_v"], scen["lam"],
-            n_particles=int(params.get("n_particles", 256)),
-            n_iters=int(params.get("n_iters", 4)),
-            cfg=sim,
-            c_prime=float(params.get("c_prime", 5.0)),
-        )
-        record.update(report=rep.to_json(), flag=rep.probe_ok and rep.converged)
-    elif name == "hyper_bound":
-        t0, bound = hypercontractivity_bound(
-            float(params["L"]), float(params["rho"]), float(params["R"]),
-            float(params["sigma"]), int(params["d"]),
-            float(params.get("alpha", 2.0)), float(params.get("beta", 3.0)),
-            float(params["t"]),
-        )
-        record.update(t0=t0, bound=bound, flag=None)
-    else:
+
+def _run_w1(kind: str, model, sim, /, *, n_paths: int = 2000,
+            pair: Pair | None = None) -> dict:
+    x0, y0 = pair or _default_pair(model.d)
+    rep = w1_contraction(kind, model, x0, y0, sim, n_paths=n_paths)
+    return {"fit": rep.fit.to_json(), "flag": None,
+            "series": {"times": rep.times.tolist(), "mean_dist": rep.mean_dist.tolist()}}
+
+
+_run_w1_synchronous = partial(_run_w1, "synchronous")
+_run_w1_reflection = partial(_run_w1, "reflection")
+
+
+def _run_w1_kinetic(model, sim, /, *, n_paths: int = 2000, pair: Pair | None = None,
+                    slack: float = 0.10) -> dict:
+    norm, params, table = _kinetic_metric(model, sim)
+    x0, y0 = pair or _default_pair(2 * model.d)
+    rep = w1_contraction("kinetic", norm, x0, y0, sim, n_paths=n_paths,
+                         table=table, params=params, slack=slack)
+    return {"fit": rep.fit.to_json(), "flag": rep.envelope_ok, "rho0": rep.rho0}
+
+
+def _run_coalescence(model, sim, /, *, n_paths: int = 4000,
+                     pair: Pair | None = None) -> dict:
+    x0, y0 = pair or _default_pair(model.d)
+    rep = coalescence_probability(model, x0, y0, sim, n_paths=n_paths)
+    return {"flag": rep.envelope_ok, "envelope_factor": rep.envelope_factor,
+            "series": {"times": rep.times.tolist(), "survival": rep.survival.tolist()}}
+
+
+def _run_lyapunov(model, sim, /, *, delta: float | None = None, n_replicas: int = 64,
+                  samples_per_replica: int = 200) -> dict:
+    if delta is None:
+        delta = model.rho / 8.0
+    est = lyapunov_expectation(model, delta, sim, n_replicas=n_replicas,
+                               samples_per_replica=samples_per_replica)
+    return {"estimate": est.to_json(), "flag": est.passed, "delta": delta}
+
+
+def _run_harnack(model, sim, /, *, alpha: float = 2.0, t: float = 1.0, n_paths: int = 4000,
+                 clip: float = math.exp(3.0), pair: Pair | None = None) -> dict:
+    x0, y0 = pair or _default_pair(model.d)
+    f = lambda s: np.minimum(np.exp(s[..., 0]), clip)
+    chk = harnack_check(model, f, alpha, x0, y0, t, n_paths, sim)
+    return {"check": chk.to_json(), "flag": chk.ok}
+
+
+def _run_fk_const(model, sim, /, *, c: float = 0.5, t: float = 1.0,
+                  n_paths: int = 256) -> dict:
+    sys_ = elliptic_fk_system(lambda s: -s, lambda s: np.full(s.shape[:-1], c), model.d)
+    est = feynman_kac_h(sys_, np.zeros(model.d), t, n_paths, sim)
+    steps = int(math.ceil(t / sim.dt - 1e-12))
+    target = math.exp(c * steps * sim.dt)
+    return {"estimate": est.to_json(), "target": target,
+            "flag": bool(abs(est.value - target) <= 1e-9 + 3.0 * est.stderr)}
+
+
+def _run_defective_lsi(model, sim, /, *, n_replicas: int = 32,
+                       samples_per_replica: int = 200) -> dict:
+    from .constants import defective_lsi_constants
+
+    A, B = defective_lsi_constants(model.lip, model.rho, model.sigma, model.d, model.radius)
+    f = lambda s: 1.0 + 0.1 * np.sin(s[..., 0])
+    grad_f = lambda s: np.concatenate(
+        [0.1 * np.cos(s[..., :1]), np.zeros_like(s[..., 1:])], axis=-1
+    )
+    chk = defective_lsi_check(model, f, grad_f, A, B, sim, n_replicas=n_replicas,
+                              samples_per_replica=samples_per_replica)
+    return {"check": chk.to_json(), "A": A, "B": B, "flag": chk.ok}
+
+
+def _run_hypercontractivity(model, sim, /, *, c: float = 0.5, alpha: float = 2.0,
+                            beta: float = 3.0, t: float | None = None, n_outer: int = 128,
+                            n_inner: int = 1024) -> dict:
+    t0, _ = hypercontractivity_bound(
+        model.lip, model.rho, model.radius, model.sigma, model.d, alpha, beta, t=1e9,
+    )
+    probe = hypercontractivity_probe(
+        model, lambda s: np.exp(c * s[..., 0]), alpha, beta, 2.0 * t0 if t is None else t,
+        n_outer=n_outer, n_inner=n_inner, cfg=sim,
+    )
+    return {"probe": probe.to_json(), "flag": probe.ok}
+
+
+def _run_mckv(model, sim, /, *, n_particles: int = 256, n_iters: int = 4,
+              c_prime: float = 5.0) -> dict:
+    rep = mckv_fixed_point(model["kernel"], model["grad_v"], model["lam"],
+                           n_particles=n_particles, n_iters=n_iters, cfg=sim,
+                           c_prime=c_prime)
+    return {"report": rep.to_json(), "flag": rep.probe_ok and rep.converged}
+
+
+def _run_hyper_bound(model, sim, /, *, L: float, rho: float, R: float, sigma: float,
+                     d: int, t: float, alpha: float = 2.0, beta: float = 3.0) -> dict:
+    t0, bound = hypercontractivity_bound(L, rho, R, sigma, d, alpha, beta, t)
+    return {"t0": t0, "bound": bound, "flag": None}
+
+
+# Estimator name -> (scenario kind it runs on, runner).  A runner's keyword
+# parameters are the schema of the estimator's config block.  Runners reach
+# the estimator functions through this module's globals, so that replacing
+# one there (to time or trace it) takes effect.
+_ESTIMATORS = {
+    "one_sided": ("elliptic", _run_one_sided),
+    "w1_synchronous": ("elliptic", _run_w1_synchronous),
+    "w1_reflection": ("elliptic", _run_w1_reflection),
+    "w1_kinetic": ("kinetic", _run_w1_kinetic),
+    "coalescence": ("elliptic", _run_coalescence),
+    "lyapunov": ("elliptic", _run_lyapunov),
+    "harnack": ("elliptic", _run_harnack),
+    "fk_const": ("elliptic", _run_fk_const),
+    "defective_lsi": ("elliptic", _run_defective_lsi),
+    "hypercontractivity": ("elliptic", _run_hypercontractivity),
+    "mckv": ("competition", _run_mckv),
+    "hyper_bound": ("none", _run_hyper_bound),
+}
+
+
+def _estimator_kwargs(name: str, params: dict, model) -> dict:
+    """Check one estimator block against the table; return the runner's
+    keyword arguments."""
+    if name not in _ESTIMATORS:
         raise ConfigError(f"unknown estimator {name!r}")
-    return record
+    kind, runner = _ESTIMATORS[name]
+    _check_kind(f"estimator {name}", kind, model)
+    return _check_block(runner, params, name, _state_dim(model))
+
+
+def _run_estimator(name: str, params: dict, kwargs: dict, model, sim: SimConfig) -> dict:
+    """Run one estimator; returns a record with a tri-state flag
+    (True/False = checked against a bound, None = informational)."""
+    return {"estimator": name, "params": params, **_ESTIMATORS[name][1](model, sim, **kwargs)}
 
 
 def cmd_verify(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
@@ -388,37 +463,30 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
     batch = cfg.get("estimators")
     if not batch:
         raise ConfigError("verify command needs a non-empty 'estimators' block")
+    model = _model_from(cfg)
+    jobs = [(name, params, _estimator_kwargs(name, params, model))
+            for name, params in batch.items()]
     if dry_run:
-        for name in batch:
-            if name not in _ESTIMATOR_NAMES:
-                raise ConfigError(f"unknown estimator {name!r}")
         return EXIT_OK
-    model = _model_from(cfg) if cfg.get("scenario") != "competition" else None
 
     t_start = time.perf_counter()
-    records = []
-    aborted = False
 
-    def run(item):
-        name, params = item
+    def run(job):
+        name, params, kwargs = job
         try:
-            return _run_estimator(name, params, model, sim, cfg)
-        except (EstimatorDiverged, UnstableLogError, WeightOverflowError,
-                SimulationBlowUp, FloatingPointError) as exc:
+            return _run_estimator(name, params, kwargs, model, sim)
+        except _RUNTIME_ABORTS as exc:
             return {"estimator": name, "params": params, "flag": False,
                     "error": f"{type(exc).__name__}: {exc}", "aborted": True}
-        except ConfigError:
-            raise
         except ValueError as exc:
             # an argument the estimator rejects is an error in the config
             raise ConfigError(f"{name}: {exc}") from exc
 
-    items = list(batch.items())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, items))
+            records = list(pool.map(run, jobs))
     else:
-        records = [run(it) for it in items]
+        records = [run(job) for job in jobs]
     aborted = any(r.get("aborted") for r in records)
 
     flags = {r["estimator"]: r.get("flag") for r in records}
@@ -451,44 +519,43 @@ def cmd_verify(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
     return EXIT_OK if all(v for v in checked) else EXIT_VIOLATION
 
 
-_ESTIMATOR_NAMES = {
-    "one_sided", "w1_synchronous", "w1_reflection", "w1_kinetic", "coalescence",
-    "lyapunov", "harnack", "fk_const", "defective_lsi", "hypercontractivity",
-    "mckv", "hyper_bound",
-}
-
-
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
-              threads: int) -> int:
-    sweep = cfg.get("sweep")
-    if not sweep:
-        raise ConfigError("sweep command needs a 'sweep' block")
-    for key in ("estimator", "parameter", "values"):
-        if key not in sweep:
-            raise ConfigError(f"sweep block missing {key!r}")
-    values = sweep["values"]
+def _sweep_points(cfg: dict, model, /, *, estimator: str, parameter: str,
+                  values: list) -> list[tuple]:
+    """(value, params, runner kwargs) of each grid point of a ``sweep``
+    block, each point checked as an estimator block of ``verify`` is."""
     if not values:
         raise ConfigError("sweep grid is empty")
-    name = sweep["estimator"]
-    if name not in _ESTIMATOR_NAMES:
-        raise ConfigError(f"unknown estimator {name!r}")
+    base = cfg.get("estimators", {}).get(estimator, {})
+    points = []
+    for value in values:
+        params = {**base, parameter: value}
+        points.append((value, params, _estimator_kwargs(estimator, params, model)))
+    return points
+
+
+def cmd_sweep(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
+              threads: int) -> int:
+    if not cfg.get("sweep"):
+        raise ConfigError("sweep command needs a 'sweep' block")
+    sim = _sim_config(cfg, seed)
+    model = _model_from(cfg)
+    sweep = _check_block(_sweep_points, cfg["sweep"], "sweep")
+    points = _sweep_points(cfg, model, **sweep)
     if dry_run:
         return EXIT_OK
-    sim = _sim_config(cfg, seed)
-    model = _model_from(cfg) if cfg.get("scenario", "competition") != "competition" else None
-    base = dict(cfg.get("estimators", {}).get(name, {}))
+    name = sweep["estimator"]
 
-    def run(value):
-        params = dict(base)
-        params[sweep["parameter"]] = value
+    def run(point):
+        value, params, kwargs = point
         try:
-            rec = _run_estimator(name, params, model, sim, cfg)
-        except Exception as exc:  # noqa: BLE001 - sweep must keep going
+            rec = _run_estimator(name, params, kwargs, model, sim)
+        except _RUNTIME_ABORTS + (ValueError,) as exc:
+            # a grid point the estimator rejects or aborts is recorded, and the sweep goes on
             rec = {"estimator": name, "params": params, "flag": False,
                    "error": f"{type(exc).__name__}: {exc}"}
         rec["sweep_value"] = value
@@ -496,9 +563,9 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, values))
+            records = list(pool.map(run, points))
     else:
-        records = [run(v) for v in values]
+        records = [run(p) for p in points]
 
     report = {"config": cfg, "versions": _versions(), "records": records}
     _write_json(out_dir, "sweep_report.json", report)
@@ -512,7 +579,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
         ])
     _write_csv(out_dir, "sweep_summary.csv",
                [sweep["parameter"], "flag", "value", "error"], rows)
-    print(f"sweep of {name} over {len(values)} values written to {out_dir}")
+    print(f"sweep of {name} over {len(points)} values written to {out_dir}")
     return EXIT_OK
 
 
@@ -521,33 +588,37 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
 # ---------------------------------------------------------------------------
 
 
+def _trajectories(model, sim, /, *, coupling: str = "reflection", n_paths: int = 4,
+                  pair: Pair | None = None):
+    """Paths of a coupled pair, from the config's top-level ``coupling``,
+    ``n_paths`` and ``pair``, recorded at about 500 times."""
+    every = max(sim.n_steps // 500, 1)
+    x0, y0 = pair or _default_pair(_state_dim(model))
+    if coupling == "kinetic":
+        norm, params, table = _kinetic_metric(model, sim)
+        return kinetic_coupled_pair(norm, table, params, x0, y0, sim, n_paths=n_paths,
+                                    record_every=every)
+    if coupling == "harnack":
+        return harnack_pair(model, x0, y0, sim, k_w=model.lip * model.radius,
+                            n_paths=n_paths, record_every=every)
+    fn = synchronous_pair if coupling == "synchronous" else reflection_pair
+    return fn(model, x0, y0, sim, n_paths=n_paths, record_every=every)
+
+
 def cmd_dump(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool) -> int:
-    kind = cfg.get("coupling", "reflection")
-    if kind not in ("synchronous", "reflection", "harnack", "kinetic"):
-        raise ConfigError(f"unknown coupling {kind!r}")
-    if dry_run:
-        return EXIT_OK
     sim = _sim_config(cfg, seed)
     model = _model_from(cfg)
-    n_paths = int(cfg.get("n_paths", 4))
-    if kind == "kinetic":
-        if not isinstance(model, KineticModel):
-            raise ConfigError("kinetic dump needs a kinetic scenario")
-        norm, params, table = _kinetic_metric(model, sim)
-        x0, y0 = _pair_points(cfg, 2 * model.d)
-        traj = kinetic_coupled_pair(norm, table, params, x0, y0, sim, n_paths=n_paths,
-                                    record_every=max(sim.n_steps // 500, 1))
-    else:
-        x0, y0 = _pair_points(cfg, model.d)
-        fn = {"synchronous": synchronous_pair, "reflection": reflection_pair}.get(kind)
-        if fn is not None:
-            traj = fn(model, x0, y0, sim, n_paths=n_paths,
-                      record_every=max(sim.n_steps // 500, 1))
-        else:
-            traj = harnack_pair(model, x0, y0, sim, k_w=model.lip * model.radius,
-                                n_paths=n_paths,
-                                record_every=max(sim.n_steps // 500, 1))
-    rows = pair_to_csv_rows(traj)
+    if model is None:
+        raise ConfigError("config needs a 'scenario' entry")
+    block = {key: cfg[key] for key in ("coupling", "n_paths", "pair") if key in cfg}
+    kwargs = _check_block(_trajectories, block, "dump-trajectories", _state_dim(model))
+    coupling = kwargs["coupling"]
+    if coupling not in ("synchronous", "reflection", "harnack", "kinetic"):
+        raise ConfigError(f"unknown coupling {coupling!r}")
+    _check_kind(f"coupling {coupling}", "kinetic" if coupling == "kinetic" else "elliptic", model)
+    if dry_run:
+        return EXIT_OK
+    rows = pair_to_csv_rows(_trajectories(model, sim, **kwargs))
     header = next(rows)
     path = _write_csv(out_dir, "trajectories.csv", header, rows)
     print(f"wrote {path}")
@@ -585,8 +656,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EstimatorDiverged, UnstableLogError, WeightOverflowError,
-            SimulationBlowUp) as exc:
+    except _RUNTIME_ABORTS as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
 

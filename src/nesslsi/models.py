@@ -479,10 +479,10 @@ def _bump_prime(x: np.ndarray) -> np.ndarray:
         return np.where(np.abs(x) < 1.0, v, 0.0)
 
 
-def _scenario_ou(params: dict) -> EllipticModel:
-    d = int(params.get("d", 1))
-    rate = float(params.get("rate", 1.0))
-    sigma = float(params.get("sigma", math.sqrt(2.0)))
+def _scenario_ou(
+    *, d: int = 1, rate: float = 1.0, sigma: float = math.sqrt(2.0),
+    declared_rho: float | None = None,
+) -> EllipticModel:
     if rate <= 0:
         raise ValueError("ou scenario needs rate > 0")
     drift = lambda x: -rate * x
@@ -490,22 +490,21 @@ def _scenario_ou(params: dict) -> EllipticModel:
     glr = lambda x: -(2.0 * rate / sigma**2) * x
     return EllipticModel(
         d=d, drift=drift, sigma=sigma,
-        rho=float(params.get("declared_rho", rate)),  # may deliberately misdeclare
+        rho=rate if declared_rho is None else declared_rho,  # may deliberately misdeclare
         lip=0.0, radius=0.0,
         b0=drift, b1=lambda x: np.zeros_like(x), grad_log_ref=glr,
         c0=sigma**2 / (2.0 * rate), name="ou",
     )
 
 
-def _scenario_rotating(params: dict) -> EllipticModel:
+def _scenario_rotating(
+    *, f_const: float = 1.0, v_amp: float = 0.0, v_width: float = 1.0,
+) -> EllipticModel:
     """Planar rotating drift b(x) = f(|x|) x_perp - x - grad V(x), noise sqrt(2).
 
     V is a radial compactly-supported bump v_amp * bump(|x|/v_width); the
     split is b0 = f x_perp - x (standard Gaussian reference), b1 = -grad V.
     """
-    f_const = float(params.get("f_const", 1.0))
-    v_amp = float(params.get("v_amp", 0.0))
-    v_width = float(params.get("v_width", 1.0))
 
     def grad_v(x: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -530,9 +529,7 @@ def _scenario_rotating(params: dict) -> EllipticModel:
     )
 
 
-def _scenario_double_well(params: dict) -> EllipticModel:
-    d = int(params.get("d", 1))
-    sigma = float(params.get("sigma", math.sqrt(2.0)))
+def _scenario_double_well(*, d: int = 1, sigma: float = math.sqrt(2.0)) -> EllipticModel:
     drift = lambda x: x - x**3
     # contraction outside |x-y| >= R = 3: (b(x)-b(y)).(x-y) <= (1 - r^2/4)|x-y|^2
     return EllipticModel(
@@ -540,17 +537,16 @@ def _scenario_double_well(params: dict) -> EllipticModel:
     )
 
 
-def _scenario_kinetic_quadratic(params: dict) -> KineticModel:
-    d = int(params.get("d", 2))
-    gamma = float(params.get("gamma", 1.0))
-    declared_r = float(params.get("radius", 1.0))
+def _scenario_kinetic_quadratic(
+    *, d: int = 2, gamma: float = 1.0, radius: float = 1.0,
+) -> KineticModel:
     return KineticModel(
         d=d, gamma=gamma,
         grad_potential=lambda x: x,
         k_matrix=np.eye(d),
         forcing=None,
         residual=lambda x, v: np.zeros_like(x),
-        radius=declared_r, lip_inner=0.0, lip_outer=0.0,
+        radius=radius, lip_inner=0.0, lip_outer=0.0,
         l_phi=0.0, c0=1.0, name="kinetic-quadratic",
     )
 
@@ -574,11 +570,9 @@ def arctan_kernel(p: int = 1) -> CompetitionKernel:
     )
 
 
-def _scenario_competition(params: dict) -> dict:
+def _scenario_competition(*, p: int = 1, lam: float = 0.05) -> dict:
     """McKean-Vlasov competition scenario: returns the pieces consumed by the
     particle fixed-point estimator (kernel, confining gradient, coupling)."""
-    p = int(params.get("p", 1))
-    lam = float(params.get("lam", 0.05))
     return {
         "kernel": arctan_kernel(p),
         "grad_v": lambda x: x,
@@ -587,7 +581,8 @@ def _scenario_competition(params: dict) -> dict:
     }
 
 
-SCENARIOS: dict[str, Callable[[dict], object]] = {
+# Each builder's keyword-only parameters are the keys its ``model`` block accepts.
+SCENARIOS: dict[str, Callable[..., object]] = {
     "ou": _scenario_ou,
     "rotating": _scenario_rotating,
     "double-well": _scenario_double_well,
@@ -597,7 +592,8 @@ SCENARIOS: dict[str, Callable[[dict], object]] = {
 
 
 def make_scenario(name: str, params: dict | None = None):
-    """Instantiate a registered scenario by name with a parameter dict."""
+    """Instantiate a registered scenario by name with a parameter dict; a key
+    that is not a parameter of the scenario's builder raises TypeError."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
-    return SCENARIOS[name](params or {})
+    return SCENARIOS[name](**(params or {}))

@@ -107,6 +107,8 @@ class SimConfig:
             raise ValueError("dt must not exceed t_final")
         if self.merge_tol <= 0:
             raise ValueError("merge_tol must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64): it keys a uint64 Philox stream")
 
     @property
     def n_steps(self) -> int:

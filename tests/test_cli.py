@@ -427,3 +427,81 @@ def test_threads_do_not_change_kinetic_sweep(tmp_path, capsys):
     assert all("error" not in r for r in records)
     assert records == run(2, "t2")
     capsys.readouterr()
+
+
+_OU_ONE_SIDED = {"scenario": "ou", "estimators": {"one_sided": {"n_pairs": 64}}}
+_HYPER_BOUND = {"rho": 1.0, "R": 0.0, "sigma": 1.5, "d": 1, "t": 12.0}
+_KINETIC_DUMP = {"scenario": "kinetic-quadratic", "model": {"d": 1},
+                 "sim": {"dt": 1e-2, "t_final": 0.5, "seed": 1}, "coupling": "kinetic"}
+
+
+@pytest.mark.parametrize("command, payload", [
+    pytest.param("verify", {**_OU_ONE_SIDED, "model": {"rat": 5}}, id="model-key"),
+    pytest.param("verify", {"scenario": "ou", "estimators": {"one_sided": {"n_pairz": 10}}},
+                 id="estimator-key"),
+    pytest.param("verify", {"scenario": "ou",
+                            "estimators": {"w1_synchronous": {"n_paths": None}}},
+                 id="null-count"),
+    pytest.param("verify", {"scenario": "ou", "estimators": {"coalescence": {"pair": [1]}}},
+                 id="pair-list"),
+    pytest.param("verify", {"scenario": "ou", "estimators": {"coalescence": {
+        "n_paths": 1000, "pair": {"x0": [1.0, 0.0], "y0": [0.0, 0.0]}}}}, id="pair-dim"),
+    pytest.param("verify", {"scenario": "ou", "estimators": {"hyper_bound": _HYPER_BOUND}},
+                 id="hyper-bound-missing-L"),
+    pytest.param("verify", {"scenario": "competition", "estimators": {"one_sided": {}}},
+                 id="one-sided-on-competition"),
+    pytest.param("verify", {"scenario": "ou", "estimators": {"mckv": {"n_particles": 64}}},
+                 id="mckv-on-ou"),
+    pytest.param("verify", {**_OU_ONE_SIDED, "sim": {"seed": "a"}}, id="sim-seed-str"),
+    pytest.param("verify", {**_OU_ONE_SIDED, "sim": {"seed": -1}}, id="sim-seed-negative"),
+    pytest.param("verify", {"scenario": "ou", "estimators": {"one_sided": {"n_pairs": "8"}}},
+                 id="count-str"),
+    pytest.param("verify", {"scenario": "ou", "estimators": {"coalescence": {"n_paths": True}}},
+                 id="count-bool"),
+    pytest.param("verify", {"scenario": "ou", "estimators": {"fk_const": {"c": True}}},
+                 id="number-bool"),
+    pytest.param("sweep", {"scenario": "ou", "sweep": {
+        "estimator": "one_sided", "parameter": "n_pairz", "values": [64, 128]}},
+                 id="sweep-parameter"),
+    pytest.param("sweep", {"sweep": {"estimator": "lyapunov", "parameter": "delta",
+                                     "values": [0.1]}}, id="sweep-no-scenario"),
+    pytest.param("dump-trajectories", {**_KINETIC_DUMP, "coupling": "reflection"},
+                 id="dump-coupling-kind"),
+    pytest.param("dump-trajectories", {**_KINETIC_DUMP, "n_paths": "x"}, id="dump-n-paths"),
+    pytest.param("dump-trajectories", {**_KINETIC_DUMP, "pair": {"x0": [1.0, 0.0]}},
+                 id="dump-pair-keys"),
+])
+def test_config_schema_errors_exit_2_before_running(tmp_path, capsys, command, payload):
+    """Each block is checked against the signature of the function it feeds
+    before anything runs, with or without --dry-run."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {**payload, "out_dir": str(out)})
+    assert main([command, "--config", cfg]) == 2
+    assert not out.exists()
+    assert main([command, "--config", cfg, "--dry-run"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_readme_estimator_table_matches_runner_signatures():
+    import inspect
+
+    from nesslsi.cli import _ESTIMATORS
+
+    def cell(p):
+        return f"`{p.name}`" if p.default is p.empty else f"`{p.name}={p.default!r}`"
+
+    expected = [
+        f"| `{name}` | {kind} | "
+        + ", ".join(cell(p) for p in inspect.signature(runner).parameters.values()
+                    if p.kind is p.KEYWORD_ONLY)
+        + " |"
+        for name, (kind, runner) in _ESTIMATORS.items()
+    ]
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| estimator | scenario kind | parameters |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line)
+    assert rows == expected

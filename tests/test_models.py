@@ -305,6 +305,11 @@ def test_scenario_registry_unknown_name():
         make_scenario("no-such-model")
 
 
+def test_scenario_rejects_unknown_parameter():
+    with pytest.raises(TypeError, match="rat"):
+        make_scenario("ou", {"rat": 5})
+
+
 def test_scenario_double_well_drift():
     m = make_scenario("double-well")
     np.testing.assert_allclose(m.drift(np.array([1.1])), [1.1 - 1.1**3])
