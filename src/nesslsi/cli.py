@@ -44,7 +44,7 @@ from .estimators import (
     mckv_fixed_point,
     w1_contraction,
 )
-from .metric import build_metric, metric_constants
+from .metric import QuadratureError, build_metric, metric_constants
 from .models import (
     SCENARIOS,
     KineticModel,
@@ -75,13 +75,14 @@ class ConfigError(ValueError):
 # Errors that end a run midway: verify and sweep record them per estimator,
 # and anywhere else they exit 3.
 _RUNTIME_ABORTS = (EstimatorDiverged, UnstableLogError, WeightOverflowError,
-                   SimulationBlowUp, FloatingPointError)
+                   SimulationBlowUp, FloatingPointError, QuadratureError)
 
 _TOP_KEYS = {
     "scenario", "model", "sim", "coupling", "estimators", "constants",
     "metric", "sweep", "out_dir", "pair", "n_paths",
 }
 _OBJECT_KEYS = ("sim", "model", "constants", "metric", "estimators", "sweep", "pair")
+_DUMP_KEYS = ("coupling", "n_paths", "pair")     # the top-level keys of dump-trajectories
 
 
 def _load_config(path: str) -> dict:
@@ -257,14 +258,9 @@ def _constants_from(cfg: dict) -> ConstantsReport | None:
         raise ConfigError(f"bad constants block: {exc}") from exc
 
 
-def cmd_constants(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool) -> int:
+def cmd_constants(cfg: dict, checked: dict, out_dir: Path) -> int:
     report: dict = {"config": cfg, "versions": _versions()}
-    if "constants" not in cfg and "metric" not in cfg:
-        raise ConfigError("constants command needs a 'constants' and/or 'metric' block")
-    rep = _constants_from(cfg)
-    metric = _check_block(_metric_block, cfg["metric"], "metric") if "metric" in cfg else None
-    if dry_run:
-        return EXIT_OK
+    rep, metric = checked["constants"], checked.get("metric")
     if rep is not None:
         report["constants"] = rep.to_json()
         grid = []
@@ -456,19 +452,8 @@ def _run_estimator(name: str, params: dict, kwargs: dict, model, sim: SimConfig)
     return {"estimator": name, "params": params, **_ESTIMATORS[name][1](model, sim, **kwargs)}
 
 
-def cmd_verify(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
-               threads: int) -> int:
-    sim = _sim_config(cfg, seed)
-    constants = _constants_from(cfg)
-    batch = cfg.get("estimators")
-    if not batch:
-        raise ConfigError("verify command needs a non-empty 'estimators' block")
-    model = _model_from(cfg)
-    jobs = [(name, params, _estimator_kwargs(name, params, model))
-            for name, params in batch.items()]
-    if dry_run:
-        return EXIT_OK
-
+def cmd_verify(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
+    sim, model, constants, jobs = (checked[k] for k in ("sim", "model", "constants", "jobs"))
     t_start = time.perf_counter()
 
     def run(job):
@@ -538,16 +523,8 @@ def _sweep_points(cfg: dict, model, /, *, estimator: str, parameter: str,
     return points
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool,
-              threads: int) -> int:
-    if not cfg.get("sweep"):
-        raise ConfigError("sweep command needs a 'sweep' block")
-    sim = _sim_config(cfg, seed)
-    model = _model_from(cfg)
-    sweep = _check_block(_sweep_points, cfg["sweep"], "sweep")
-    points = _sweep_points(cfg, model, **sweep)
-    if dry_run:
-        return EXIT_OK
+def cmd_sweep(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
+    sim, model, sweep, points = (checked[k] for k in ("sim", "model", "sweep", "points"))
     name = sweep["estimator"]
 
     def run(point):
@@ -605,24 +582,66 @@ def _trajectories(model, sim, /, *, coupling: str = "reflection", n_paths: int =
     return fn(model, x0, y0, sim, n_paths=n_paths, record_every=every)
 
 
-def cmd_dump(cfg: dict, out_dir: Path, seed: int | None, dry_run: bool) -> int:
-    sim = _sim_config(cfg, seed)
-    model = _model_from(cfg)
+def _dump_kwargs(cfg: dict, model) -> dict:
+    """The keyword arguments of ``_trajectories`` from the config's
+    top-level ``coupling``, ``n_paths`` and ``pair``."""
     if model is None:
         raise ConfigError("config needs a 'scenario' entry")
-    block = {key: cfg[key] for key in ("coupling", "n_paths", "pair") if key in cfg}
+    block = {key: cfg[key] for key in _DUMP_KEYS if key in cfg}
     kwargs = _check_block(_trajectories, block, "dump-trajectories", _state_dim(model))
     coupling = kwargs["coupling"]
     if coupling not in ("synchronous", "reflection", "harnack", "kinetic"):
         raise ConfigError(f"unknown coupling {coupling!r}")
     _check_kind(f"coupling {coupling}", "kinetic" if coupling == "kinetic" else "elliptic", model)
-    if dry_run:
-        return EXIT_OK
-    rows = pair_to_csv_rows(_trajectories(model, sim, **kwargs))
+    return kwargs
+
+
+def cmd_dump(checked: dict, out_dir: Path) -> int:
+    rows = pair_to_csv_rows(_trajectories(checked["model"], checked["sim"], **checked["dump"]))
     header = next(rows)
     path = _write_csv(out_dir, "trajectories.csv", header, rows)
     print(f"wrote {path}")
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# config check
+# ---------------------------------------------------------------------------
+
+
+def _checked_config(command: str, cfg: dict, seed: int | None) -> dict:
+    """Check every block of the config, whichever ``command`` reads it, so
+    that a bad key or value anywhere is a config error before anything runs.
+
+    Returns the checked form of the blocks: ``sim``, ``model``,
+    ``constants`` (the report or None), ``metric`` (keyword arguments),
+    ``jobs`` ((name, params, runner kwargs) of each estimator block),
+    ``sweep`` with its grid ``points``, and ``dump`` (keyword arguments).
+    Under ``sweep`` the swept estimator's block is checked with each grid
+    point instead of on its own, since the grid may supply a required key.
+    """
+    if command == "constants" and "constants" not in cfg and "metric" not in cfg:
+        raise ConfigError("constants command needs a 'constants' and/or 'metric' block")
+    if command == "verify" and not cfg.get("estimators"):
+        raise ConfigError("verify command needs a non-empty 'estimators' block")
+    if command == "sweep" and not cfg.get("sweep"):
+        raise ConfigError("sweep command needs a 'sweep' block")
+    model = _model_from(cfg)
+    checked = {"sim": _sim_config(cfg, seed), "model": model,
+               "constants": _constants_from(cfg)}
+    if "metric" in cfg:
+        checked["metric"] = _check_block(_metric_block, cfg["metric"], "metric")
+    swept = None
+    if "sweep" in cfg:
+        checked["sweep"] = _check_block(_sweep_points, cfg["sweep"], "sweep")
+        checked["points"] = _sweep_points(cfg, model, **checked["sweep"])
+        if command == "sweep":
+            swept = checked["sweep"]["estimator"]
+    checked["jobs"] = [(name, params, _estimator_kwargs(name, params, model))
+                       for name, params in cfg.get("estimators", {}).items() if name != swept]
+    if command == "dump-trajectories" or any(key in cfg for key in _DUMP_KEYS):
+        checked["dump"] = _dump_kwargs(cfg, model)
+    return checked
 
 
 def _versions() -> dict:
@@ -646,13 +665,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         out_dir = Path(cfg.get("out_dir", args.out))
+        checked = _checked_config(args.command, cfg, args.seed)
+        if args.dry_run:
+            return EXIT_OK
         if args.command == "constants":
-            return cmd_constants(cfg, out_dir, args.seed, args.dry_run)
+            return cmd_constants(cfg, checked, out_dir)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.seed, args.dry_run, args.threads)
+            return cmd_verify(cfg, checked, out_dir, args.threads)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.seed, args.dry_run, args.threads)
-        return cmd_dump(cfg, out_dir, args.seed, args.dry_run)
+            return cmd_sweep(cfg, checked, out_dir, args.threads)
+        return cmd_dump(checked, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -126,6 +126,10 @@ def metric_constants(
     )
 
 
+# Cap on unresolved subintervals per cell in _cellwise_simpson.
+_LIVE_PER_CELL = 64
+
+
 def _cellwise_simpson(
     f: Callable[[np.ndarray], np.ndarray],
     edges: np.ndarray,
@@ -133,16 +137,26 @@ def _cellwise_simpson(
     max_depth: int = 30,
 ) -> np.ndarray:
     """Adaptive Simpson integral of f over each cell [edges[i], edges[i+1]],
-    vectorized across cells.  Total absolute error is below tol."""
+    vectorized across cells.  Total absolute error is below tol.
+
+    Raises :class:`QuadratureError` when more than ``_LIVE_PER_CELL`` times
+    the number of cells are left unresolved, as happens when rounding in f
+    alone exceeds the per-cell tolerance, rather than doubling them at every
+    level left."""
     a = edges[:-1].astype(float)
     b = edges[1:].astype(float)
     n_cells = a.size
+    max_live = _LIVE_PER_CELL * max(n_cells, 1)
     out = np.zeros(n_cells)
     idx = np.arange(n_cells)
     tol_arr = np.full(n_cells, tol / max(n_cells, 1))
-    for _ in range(max_depth):
+    for level in range(max_depth + 1):
         if a.size == 0:
             return out
+        if a.size > max_live or level == max_depth:
+            raise QuadratureError(
+                f"{a.size} subintervals left after {level} refinement levels (at most "
+                f"{max_live} and {max_depth} allowed); is the tolerance below f's rounding?")
         m = 0.5 * (a + b)
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         fa, fm, fb = f(a), f(m), f(b)
@@ -158,7 +172,6 @@ def _cellwise_simpson(
         b = np.concatenate([m[bad], b[bad]])
         idx = np.concatenate([idx[bad], idx[bad]])
         tol_arr = np.concatenate([tol_arr[bad] / 2.0, tol_arr[bad] / 2.0])
-    raise QuadratureError(f"{a.size} subintervals left after {max_depth} refinement levels")
 
 
 def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:

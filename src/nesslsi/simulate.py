@@ -4,10 +4,13 @@ Noise is drawn from a counter-based (Philox) stream keyed by
 (seed, step, channel); within a step, path p consumes the fixed slice
 [p*d, (p+1)*d) of the stream.  Trajectories are therefore bit-reproducible
 from (seed, config, model) alone, per path, independently of ensemble size
-or scheduling.  Each thread holds one Philox generator and re-keys it for
-every draw (key (seed, step << 3 | channel), counter 0, empty buffer), so a
-draw builds no generator and reads no OS entropy; the numbers are those of a
-freshly keyed ``Philox(key=...)``.
+or scheduling.  Each thread holds one Philox generator and one state payload
+of Python ints (counter 0, empty buffer); a draw rewrites the payload's two
+key entries (seed, step << 3 | channel) and sets it, so it builds no
+generator and no key array and reads no OS entropy, and the numbers are
+those of a freshly keyed ``Philox(key=...)``.  Every draw looks
+``noise_normals`` up in this module at call time, so a wrapper installed
+there sees every draw.
 
 Couplings:
 
@@ -24,9 +27,8 @@ Couplings:
 Merging in discrete time is declared either when the separation falls below
 merge_tol * (1 + initial separation), or when the signed radial coordinate
 of the updated difference crosses zero (exact hits are almost surely missed
-on a grid, crossings are not).  After every step a merged pair's second
-copy is set to its first, so merged pairs never separate; in the reflection
-and Harnack couplings a merged pair steps only its first copy.
+on a grid, crossings are not).  A merged pair steps only its first copy and
+its second copy is set to the first, so merged pairs never separate.
 
 Every simulator, the Feynman-Kac weight in ``estimators`` included, runs
 the one time loop ``_integrate``, which owns the record buffers (states and
@@ -35,6 +37,14 @@ only its one-step update: the second copy's noise map, its merge test and
 its per-path accumulators (the Girsanov int e . dB, the Feynman-Kac
 int phi ds).  Both copies and every accumulator are checked every 16 steps
 and at the last step; a non-finite entry raises :class:`SimulationBlowUp`.
+
+The steps are written for a low per-step cost at unchanged bits: new states
+are summed in place (addition and multiplication commute exactly), the
+unmerged second copies are gathered with ``take`` and written back as the
+items of a row view, row dots and norms add the columns in numpy's own
+order (``_row_dot``), and the kinetic pair keeps its states
+Fortran-ordered so that the step computes on one contiguous row per
+coordinate.  ``test_simulator_golden_hash`` pins the bits.
 """
 
 from __future__ import annotations
@@ -122,25 +132,31 @@ def derive_seed(seed: int, tag: str) -> int:
 
 
 _thread_rng = threading.local()
-_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 def noise_normals(seed: int, step: int, channel: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals from the counter-based stream (seed, step, channel):
     ``Generator(Philox(key=[seed, step << 3 | channel])).standard_normal(shape)``,
     drawn from this thread's generator re-keyed in place."""
-    gen = getattr(_thread_rng, "gen", None)
-    if gen is None:
-        gen = _thread_rng.gen = np.random.Generator(np.random.Philox(0))
-    key = np.array([seed & _MASK64, ((step << 3) | channel) & _MASK64], dtype=np.uint64)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": key},
-        "buffer": _ZERO4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    try:
+        gen, bitgen, state, key = _thread_rng.philox
+    except AttributeError:
+        # the state payload is built once, from Python ints, for the setter;
+        # a draw rewrites only the two entries of ``key`` and sets it again
+        bitgen, key = np.random.Philox(0), [0, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen = np.random.Generator(bitgen)
+        _thread_rng.philox = gen, bitgen, state, key
+    key[0] = seed & _MASK64
+    key[1] = ((step << 3) | channel) & _MASK64
+    bitgen.state = state
     return gen.standard_normal(shape)
 
 
@@ -230,6 +246,8 @@ def _record_index(n_steps: int, record_every: int) -> np.ndarray:
 
 def _check_finite(step: int, dt: float, states) -> None:
     """Raise SimulationBlowUp counting the paths with a non-finite entry."""
+    if all(np.isfinite(s).all() for s in states):
+        return
     bad = np.zeros(len(states[0]), dtype=bool)
     for s in states:
         bad |= ~np.isfinite(s).all(axis=tuple(range(1, s.ndim)))
@@ -253,11 +271,12 @@ def _integrate(
 
     ``advance(k, x, y, active)`` takes the state from step k to k + 1 and
     returns ``(x, y, hit)``, ``hit`` being the merge test on the new pair.
-    With ``tol`` given, pairs within tol merge at t = 0, ``active`` pairs
-    that ``hit`` merge at t_{k+1}, and a merged second copy is set to the
-    first after every step.  ``accumulators`` are per-path arrays that
-    ``advance`` updates in place; ``rc_of(x, y, active)`` is recorded with
-    the states.  Returns ``(times, xs, ys, merge_time, rc)``.
+    With ``tol`` given, pairs within tol merge at t = 0 and ``active`` pairs
+    that ``hit`` merge at t_{k+1}, their second copy set to the first;
+    ``advance`` keeps every merged second copy equal to its first copy.
+    ``accumulators`` are per-path arrays that ``advance`` updates in place;
+    ``rc_of(x, y, active)`` is recorded with the states.  Returns
+    ``(times, xs, ys, merge_time, rc)``.
     """
     n_steps = cfg.n_steps if n_steps is None else n_steps
     rec = _record_index(n_steps, record_every)
@@ -269,29 +288,35 @@ def _integrate(
     merge_time = np.full(x.shape[0], np.nan)
     active = None
     if tol is not None:
-        merge_time[np.linalg.norm(x - y, axis=-1) <= tol] = 0.0
-        active = np.isnan(merge_time)
-        y[~active] = x[~active]
+        merged = np.linalg.norm(x - y, axis=-1) <= tol
+        merge_time[merged] = 0.0
+        active = ~merged
+        y[merged] = x[merged]
     rc = None
     if rc_of is not None:
         rc = np.empty((rec.size, x.shape[0]))
         rc[0] = rc_of(x, y, active)
-    rec_pos = 1
+    schedule = rec.tolist()     # Python ints: no numpy scalar per step
+    rec_pos, next_rec = 1, schedule[1] if rec.size > 1 else -1
     for step in range(n_steps):
         x, y, hit = advance(step, x, y, active)
         if tol is not None:
-            merge_time[active & hit] = (step + 1) * cfg.dt
-            active = np.isnan(merge_time)
-            y[~active] = x[~active]
+            merged = active & hit
+            if merged.any():
+                active = active & ~merged
+                merged = np.flatnonzero(merged)
+                merge_time[merged] = (step + 1) * cfg.dt
+                _put_rows(y, merged, x.take(merged, axis=0))
         if step % 16 == 0 or step == n_steps - 1:
             _check_finite(step + 1, cfg.dt, [s for s in (x, y, *accumulators) if s is not None])
-        if rec_pos < rec.size and step + 1 == rec[rec_pos]:
+        if step + 1 == next_rec:
             xs[rec_pos] = x
             if y is not None:
                 ys[rec_pos] = y
             if rc is not None:
                 rc[rec_pos] = rc_of(x, y, active)
             rec_pos += 1
+            next_rec = schedule[rec_pos] if rec_pos < rec.size else -1
     return rec * cfg.dt, xs, ys, merge_time, rc
 
 
@@ -302,16 +327,89 @@ def _pair_trajectory(out, mode: str, **extra) -> PairTrajectory:
                           rc=rc, sc=sc, mode=mode, **extra)
 
 
+def _drift_step(drift: Callable, x: np.ndarray, dt: float) -> np.ndarray:
+    """x + drift(x) dt as a new array, summed in place when the drift has
+    the shape and dtype of x (addition commutes, so the bits agree)."""
+    out = drift(x) * dt
+    if type(out) is not np.ndarray or out.shape != x.shape or out.dtype != x.dtype:
+        return x + out
+    out += x
+    return out
+
+
+def _add_noise(x: np.ndarray, noise: np.ndarray, nd: int) -> np.ndarray:
+    """x with ``noise`` added in place to its trailing columns from ``nd`` on."""
+    if nd:
+        x[:, nd:] += noise
+    else:
+        x += noise
+    return x
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.sum(a * b, axis=-1)`` of two (n, d) arrays, bit for bit, summed
+    column by column.  Below 8 columns numpy adds a row's terms in order,
+    starting from +0.0 (so the sum is never -0.0: hence the final + 0.0);
+    from 8 columns on it sums pairwise, and the row-major sum is kept."""
+    if a.shape[1] >= 8:
+        return np.sum(np.ascontiguousarray(a * b), axis=-1)
+    s = a[:, 0] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        s += a[:, j] * b[:, j]
+    s += 0.0
+    return s
+
+
+def _row_norm(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=-1)`` of an (n, d) array, bit for bit."""
+    return np.sqrt(_row_dot(a, a))
+
+
+def _active_rows(active: np.ndarray):
+    """``(idx, rows)`` of the active pairs, ``rows(a)`` taking their rows of
+    a, or None when no pair is active.  idx is a slice when every pair is:
+    then rows are views and nothing is gathered."""
+    if active.all():
+        return slice(None), lambda a: a
+    if not active.any():
+        return None
+    # take() gathers rows several times faster than a[idx] for d > 1
+    idx = np.flatnonzero(active)
+    return idx, lambda a: a.take(idx, axis=0)
+
+
+def _put_rows(a: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``a[idx] = rows`` for the rows idx of an (n, d) array.  On a C-ordered
+    a the rows are written as the items of one-dimensional row views, which
+    numpy assigns several times faster than a 2-d a[idx]."""
+    if not a.flags.c_contiguous:
+        a[idx] = rows
+        return
+    row = np.dtype((np.void, a.itemsize * a.shape[1]))
+    rows = np.ascontiguousarray(rows, dtype=a.dtype)
+    a.view(row).reshape(-1)[idx] = rows.view(row).reshape(-1)
+
+
+def _with_rows(x: np.ndarray, idx, rows: np.ndarray) -> np.ndarray:
+    """A copy of x whose rows idx are ``rows`` (``rows`` itself when idx is
+    the full slice)."""
+    if isinstance(idx, slice):
+        return rows
+    out = x.copy()
+    _put_rows(out, idx, rows)
+    return out
+
+
 def _em_step(sys_: SdeSystem, cfg: SimConfig, channel: int) -> Callable:
     """x <- x + drift(x) dt + (scale sqrt(dt)) xi on the noise block."""
     nd = sys_.dim - sys_.noise_dim
     scale = sys_.noise_scale * math.sqrt(cfg.dt)
+    drift, dt, seed, noise_dim = sys_.drift, cfg.dt, cfg.seed, sys_.noise_dim
 
     def step(k, x, y, active):
-        xi = noise_normals(cfg.seed, k, channel, (x.shape[0], sys_.noise_dim))
-        x = x + sys_.drift(x) * cfg.dt
-        x[:, nd:] += scale * xi
-        return x, y, None
+        xi = noise_normals(seed, k, channel, (x.shape[0], noise_dim))
+        xi *= scale
+        return _add_noise(_drift_step(drift, x, dt), xi, nd), y, None
 
     return step
 
@@ -343,21 +441,28 @@ def _merge_tol_effective(cfg: SimConfig, x0: np.ndarray, y0: np.ndarray) -> np.n
 def synchronous_pair(
     model, x0, y0, cfg: SimConfig, n_paths: int = 1, record_every: int = 1
 ) -> PairTrajectory:
-    """Both copies driven by identical noise increments."""
+    """Both copies driven by identical noise increments; a merged pair steps
+    only its first copy."""
     sys_ = system_of(model)
     x = _as_batch(x0, n_paths, sys_.dim)
     y = _as_batch(y0, n_paths, sys_.dim)
     tol = _merge_tol_effective(cfg, x, y)
     nd = sys_.dim - sys_.noise_dim
     scale = sys_.noise_scale * math.sqrt(cfg.dt)
+    drift, dt = sys_.drift, cfg.dt
 
     def step(k, x, y, active):
-        noise = scale * noise_normals(cfg.seed, k, CH_MAIN, (n_paths, sys_.noise_dim))
-        x = x + sys_.drift(x) * cfg.dt
-        x[:, nd:] += noise
-        y = y + sys_.drift(y) * cfg.dt
-        y[:, nd:] += noise
-        return x, y, np.linalg.norm(x - y, axis=-1) <= tol
+        noise = noise_normals(cfg.seed, k, CH_MAIN, (n_paths, sys_.noise_dim))
+        noise *= scale
+        x_new = _add_noise(_drift_step(drift, x, dt), noise, nd)
+        hit = np.zeros(n_paths, dtype=bool)
+        sel = _active_rows(active)
+        if sel is None:
+            return x_new, x_new.copy(), hit
+        idx, rows = sel
+        y_act = _add_noise(_drift_step(drift, rows(y), dt), rows(noise), nd)
+        hit[idx] = _row_norm(rows(x_new) - y_act) <= rows(tol)
+        return x_new, _with_rows(x_new, idx, y_act), hit
 
     out = _integrate(cfg, step, x, y, record_every=record_every, tol=tol)
     return _pair_trajectory(out, "synchronous")
@@ -382,29 +487,25 @@ def _radial_step(model: EllipticModel, cfg: SimConfig, cross_tol: np.ndarray,
     sqdt = math.sqrt(cfg.dt)
 
     def step(k, x, y, active):
-        dB = sqdt * noise_normals(cfg.seed, k, CH_MAIN, x.shape)
-        x_new = x + model.drift(x) * cfg.dt + model.sigma * dB
-        y_new = x_new.copy()
+        dB = noise_normals(cfg.seed, k, CH_MAIN, x.shape)
+        dB *= sqdt
+        x_new = _drift_step(model.drift, x, cfg.dt)
+        x_new += model.sigma * dB
         hit = np.zeros(x.shape[0], dtype=bool)
-        if active.all():        # a slice takes the rows as views: no gather
-            idx, rows = slice(None), lambda a: a
-        elif active.any():
-            # take() gathers rows several times faster than a[idx] for d > 1
-            idx = np.flatnonzero(active)
-            rows = lambda a: a.take(idx, axis=0)
-        else:
-            return x_new, y_new, hit
+        sel = _active_rows(active)
+        if sel is None:
+            return x_new, x_new.copy(), hit
+        idx, rows = sel
         delta = rows(x) - rows(y)
-        e = _unit_or_e1(delta, np.linalg.norm(delta, axis=-1))
+        e = _unit_or_e1(delta, _row_norm(delta))
         y_act = second(idx, rows(y), rows(dB), e)
-        y_new[idx] = y_act
         delta_new = rows(x_new) - y_act
-        radial = np.sum(e * delta_new, axis=-1)
+        radial = _row_dot(e, delta_new)
         # a non-finite difference (radial -inf or nan) is no crossing: merging
         # would overwrite the diverged copy before the finiteness check sees it
         crossed = (radial <= 0.0) & (radial > -np.inf)
-        hit[idx] = crossed | (np.linalg.norm(delta_new, axis=-1) <= rows(cross_tol))
-        return x_new, y_new, hit
+        hit[idx] = crossed | (_row_norm(delta_new) <= rows(cross_tol))
+        return x_new, _with_rows(x_new, idx, y_act), hit
 
     return step
 
@@ -427,8 +528,10 @@ def reflection_pair(
     tol = _merge_tol_effective(cfg, x, y)
 
     def reflected(idx, y, dB, e):
-        refl = dB - 2.0 * e * np.sum(e * dB, axis=-1, keepdims=True)
-        return y + b(y) * cfg.dt + sigma * refl
+        refl = dB - 2.0 * e * _row_dot(e, dB)[:, None]
+        y_new = _drift_step(b, y, cfg.dt)
+        y_new += sigma * refl
+        return y_new
 
     out = _integrate(cfg, _radial_step(model, cfg, tol, reflected), x, y,
                      record_every=record_every, tol=tol,
@@ -468,10 +571,14 @@ def harnack_pair(
     # separation below that decrement crosses zero within the step
     cross_tol = np.maximum(tol, (xi_drift - k_w) * cfg.dt)
     ito = np.zeros(n_paths)     # int e . dB up to merge
+    xi_dt = xi_drift * cfg.dt
 
     def drifted(idx, y, dB, e):
-        ito[idx] += np.sum(e * dB, axis=-1)
-        return y + b(y) * cfg.dt + sigma * dB + (xi_drift[idx] * cfg.dt)[:, None] * e
+        ito[idx] += _row_dot(e, dB)
+        y_new = _drift_step(b, y, cfg.dt)
+        y_new += sigma * dB
+        y_new += xi_dt[idx][:, None] * e
+        return y_new
 
     out = _integrate(cfg, _radial_step(model, cfg, cross_tol, drifted), x, y,
                      record_every=record_every, tol=tol, accumulators=(ito,))
@@ -488,10 +595,18 @@ def rc_profile(r: np.ndarray, dq_norm: np.ndarray, r0: float, n_smooth: float) -
     dq_norm = np.asarray(dq_norm, dtype=float)
     if math.isinf(n_smooth):
         return np.where((r <= r0) & (dq_norm > 0.0), 1.0, 0.0)
+    # cos 0 = 1 and sin 0 = 0 exactly, so the trigonometric functions run
+    # only on the entries inside a ramp (nan ones included)
     u = np.clip((r - r0) * n_smooth, 0.0, 1.0)
-    c = np.where(u >= 1.0, 0.0, np.cos(0.5 * np.pi * u))
+    full = u >= 1.0
+    c = np.where(full, 0.0, 1.0)
+    ramp = ~(full | (u <= 0.0))
+    c[ramp] = np.cos(0.5 * np.pi * u[ramp])
     w = np.clip(dq_norm * n_smooth - 1.0, 0.0, 1.0)
-    m = np.where(w >= 1.0, 1.0, np.sin(0.5 * np.pi * w))
+    full = w >= 1.0
+    m = np.where(full, 1.0, 0.0)
+    ramp = ~(full | (w <= 0.0))
+    m[ramp] = np.sin(0.5 * np.pi * w[ramp])
     return c * m
 
 
@@ -523,37 +638,47 @@ def kinetic_coupled_pair(
         raise ValueError("n_smooth must be positive")
     d = model.d
     theta, r0 = params.theta, params.r0
-    z = _as_batch(z0, n_paths, 2 * d)
-    zp = _as_batch(z0_prime, n_paths, 2 * d)
+    # Fortran-ordered states: their transposes, on which the step computes,
+    # are C-ordered (2d, n_paths) arrays with one contiguous row per
+    # coordinate, and row norms and dots accumulate over d such rows
+    z = np.asfortranarray(_as_batch(z0, n_paths, 2 * d))
+    zp = np.asfortranarray(_as_batch(z0_prime, n_paths, 2 * d))
 
-    def weights(z_, zp_):
-        delta = z_ - zp_
-        dx = delta[:, :d]
-        dq = dx + delta[:, d:]
-        dqn = np.linalg.norm(dq, axis=-1)
-        r = theta * np.linalg.norm(dx, axis=-1) + dqn
-        return rc_profile(r, dqn, r0, cfg.n_smooth), _unit_or_e1(dq, dqn)
+    def weights(zt, zpt):
+        delta = zt - zpt
+        dx = delta[:d]
+        dq = dx + delta[d:]
+        dqn = _row_norm(dq.T)
+        r = theta * _row_norm(dx.T) + dqn
+        return rc_profile(r, dqn, r0, cfg.n_smooth), _unit_or_e1(dq.T, dqn).T
+
+    def advanced(z_):
+        """(z + control_drift(z) dt).T as a C-ordered (2d, n_paths) array."""
+        return z_.T + (model.control_drift(z_) * cfg.dt).T
+
+    def noise(k, channel):
+        dB = noise_normals(cfg.seed, k, channel, (n_paths, d))
+        dB *= sqdt
+        return np.ascontiguousarray(dB.T)
 
     sq2, sqdt = math.sqrt(2.0), math.sqrt(cfg.dt)
     # the weights of the state the next step starts from; the rc recorded
     # after a step is the rc the following step mixes with
-    rc, e = weights(z, zp)
+    rc, e = weights(z.T, zp.T)
 
     def step(k, z, zp, active):
         nonlocal rc, e
         sc = np.sqrt(np.clip(1.0 - rc * rc, 0.0, 1.0))
-        dB = sqdt * noise_normals(cfg.seed, k, CH_MAIN, (n_paths, d))
-        dBpp = sqdt * noise_normals(cfg.seed, k, CH_AUX, (n_paths, d))
-        rc_, sc_ = rc[:, None], sc[:, None]
-        dB_rc = rc_ * dB + sc_ * dBpp
-        dB_sc = sc_ * dB - rc_ * dBpp
-        refl = dB_rc - 2.0 * e * np.sum(e * dB_rc, axis=-1, keepdims=True)
-        z_new = z + model.control_drift(z) * cfg.dt
-        z_new[:, d:] += sq2 * dB
-        zp_new = zp + model.control_drift(zp) * cfg.dt
-        zp_new[:, d:] += sq2 * (rc_ * refl + sc_ * dB_sc)
-        rc, e = weights(z_new, zp_new)
-        return z_new, zp_new, None
+        dB, dBpp = noise(k, CH_MAIN), noise(k, CH_AUX)
+        dB_rc = rc * dB + sc * dBpp
+        dB_sc = sc * dB - rc * dBpp
+        refl = dB_rc - 2.0 * e * _row_dot(e.T, dB_rc.T)
+        zt = advanced(z)
+        zt[d:] += sq2 * dB
+        zpt = advanced(zp)
+        zpt[d:] += sq2 * (rc * refl + sc * dB_sc)
+        rc, e = weights(zt, zpt)
+        return zt.T, zpt.T, None
 
     out = _integrate(cfg, step, z, zp, record_every=record_every,
                      rc_of=lambda z_, zp_, active: rc)

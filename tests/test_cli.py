@@ -291,6 +291,29 @@ def test_verify_runtime_abort_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_quadrature_error_is_a_runtime_abort(tmp_path, capsys, monkeypatch):
+    """A metric quadrature that cannot converge exits 3 from ``constants``
+    and aborts its record under ``verify``."""
+    import nesslsi.cli as cli
+    from nesslsi.metric import QuadratureError
+
+    def fail(*args, **kwargs):
+        raise QuadratureError("no convergence")
+
+    monkeypatch.setattr(cli, "build_metric", fail)
+    assert main(["constants", "--config", _constants_config(tmp_path, tmp_path / "c")]) == 3
+    out = tmp_path / "v"
+    cfg = _write(tmp_path, {
+        "scenario": "kinetic-quadratic", "model": {"d": 1},
+        "sim": {"dt": 1e-2, "t_final": 0.5, "seed": 1},
+        "estimators": {"w1_kinetic": {"n_paths": 1000}}, "out_dir": str(out),
+    }, name="kinetic.json")
+    assert main(["verify", "--config", cfg]) == 3
+    record = json.loads((out / "verify_report.json").read_text())["records"][0]
+    assert record["aborted"] and "QuadratureError" in record["error"]
+    assert "runtime abort" in capsys.readouterr().err
+
+
 def test_sweep_lyapunov_delta_grid(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, {
@@ -470,6 +493,16 @@ _KINETIC_DUMP = {"scenario": "kinetic-quadratic", "model": {"d": 1},
     pytest.param("dump-trajectories", {**_KINETIC_DUMP, "n_paths": "x"}, id="dump-n-paths"),
     pytest.param("dump-trajectories", {**_KINETIC_DUMP, "pair": {"x0": [1.0, 0.0]}},
                  id="dump-pair-keys"),
+    # a block the command does not read is checked all the same
+    pytest.param("verify", {**_OU_ONE_SIDED, "metric": {"k_matrixx": 1}},
+                 id="verify-metric-key"),
+    pytest.param("sweep", {"scenario": "ou", "estimators": {"one_sided": {"n_pairz": 10}},
+                           "sweep": {"estimator": "lyapunov", "parameter": "delta",
+                                     "values": [0.1]}}, id="sweep-other-estimator-key"),
+    pytest.param("dump-trajectories", {**_KINETIC_DUMP, "constants": {"rhoo": 1.0}},
+                 id="dump-constants-key"),
+    pytest.param("constants", {"metric": {"k_matrix": [[1.0]]}, "sim": {"dtt": 0.1}},
+                 id="constants-sim-key"),
 ])
 def test_config_schema_errors_exit_2_before_running(tmp_path, capsys, command, payload):
     """Each block is checked against the signature of the function it feeds

@@ -7,6 +7,8 @@ from scipy.special import erf
 
 from nesslsi.metric import (
     MetricTable,
+    QuadratureError,
+    _cellwise_simpson,
     _edge_slope,
     _Pchip,
     build_metric,
@@ -15,6 +17,27 @@ from nesslsi.metric import (
     rho_star,
 )
 from oracles import metric_scalars_reference
+
+
+def test_cellwise_simpson_integrates_each_cell():
+    edges = np.linspace(0.0, 2.0, 9)
+    got = _cellwise_simpson(np.exp, edges, 1e-12)
+    np.testing.assert_allclose(got, np.exp(edges[1:]) - np.exp(edges[:-1]), rtol=0, atol=1e-12)
+
+
+def test_cellwise_simpson_stops_at_the_live_cap():
+    """When rounding in f exceeds the per-cell tolerance, no level resolves
+    a cell; the quadrature raises once the live subintervals pass the cap
+    instead of doubling them for every level left."""
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return 1e8 * np.sin(x)       # rounding near 1e-8 per value, far above 1e-20
+
+    with pytest.raises(QuadratureError, match="at most 256"):
+        _cellwise_simpson(f, np.linspace(0.0, 1.0, 5), 1e-20)
+    assert max(sizes) == 256       # 4 cells, doubled for 6 levels, then stopped
 
 
 def test_constants_identity_benchmark(identity_params):

@@ -72,6 +72,80 @@ def test_noise_normals_equals_freshly_keyed_philox():
     assert mismatches == []
 
 
+def test_every_draw_goes_through_the_module_noise_normals(monkeypatch, kinetic_bench):
+    """Each simulator looks ``noise_normals`` up in its module at every draw,
+    so that a wrapper put there (a benchmark probe, a tracer) sees all
+    n_steps x channels draws."""
+    from nesslsi import estimators, simulate
+    from nesslsi.estimators import elliptic_fk_system, feynman_kac_h
+
+    calls = []
+    for module in (simulate, estimators):
+        def counting(*args, _draw=module.noise_normals):
+            calls.append(args[2])
+            return _draw(*args)
+
+        monkeypatch.setattr(module, "noise_normals", counting)
+    ou = make_scenario("ou", {"d": 2})
+    kin, params, table = kinetic_bench
+    cfg = SimConfig(dt=0.1, t_final=1.3, seed=5, n_smooth=1000)
+    x0, y0 = np.array([1.0, 0.5]), np.array([-1.0, 0.0])
+    z0, zp0 = np.array([1.5, 0.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.5, -0.5])
+    fk = elliptic_fk_system(lambda s: -s, lambda s: -0.1 * s[..., 0] ** 2, 2)
+    runs = {
+        "em_path": (lambda: em_path(ou, x0, cfg, 3), (0,)),
+        "synchronous_pair": (lambda: synchronous_pair(ou, x0, y0, cfg, 3), (0,)),
+        "reflection_pair": (lambda: reflection_pair(ou, x0, y0, cfg, 3), (0,)),
+        "harnack_pair": (lambda: harnack_pair(ou, x0, y0, cfg, 0.5, None, 3), (0,)),
+        "kinetic_coupled_pair": (lambda: kinetic_coupled_pair(
+            normalize_kinetic(kin), table, params, z0, zp0, cfg, 3), (0, 1)),
+        "feynman_kac_h": (lambda: feynman_kac_h(fk, x0, cfg.t_final, 3, cfg), (0,)),
+    }
+    for name, (run, channels) in runs.items():
+        calls.clear()
+        run()
+        assert sorted(calls) == sorted(channels * cfg.n_steps), name
+
+
+def test_em_path_accepts_a_broadcastable_drift():
+    """A drift returning one (d,) vector for the whole batch steps every
+    path by it, as x + drift(x) dt does."""
+    cfg = SimConfig(dt=0.1, t_final=0.5, seed=8)
+    sys_ = SdeSystem(dim=2, drift=lambda x: np.array([1.0, -2.0]), noise_dim=2,
+                     noise_scale=0.5)
+    x = np.tile([0.3, 0.7], (3, 1))
+    want = [x]
+    for k in range(cfg.n_steps):
+        x = x + np.array([1.0, -2.0]) * cfg.dt
+        x = x + 0.5 * math.sqrt(cfg.dt) * noise_normals(cfg.seed, k, 0, (3, 2))
+        want.append(x)
+    np.testing.assert_array_equal(em_path(sys_, np.array([0.3, 0.7]), cfg, 3).states,
+                                  np.array(want))
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_row_dot_is_numpy_sum_bit_for_bit(d):
+    """The column-wise row dot and norm give the bits of numpy's row
+    reductions, signed zeros and non-finite entries included, in either
+    memory order."""
+    from nesslsi.simulate import _row_dot, _row_norm
+
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(400, d)) * rng.lognormal(0.0, 4.0, size=(400, d))
+    b = rng.normal(size=(400, d))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e300])
+    a[:40] = rng.choice(specials, size=(40, d))
+    b[20:60] = rng.choice(specials, size=(40, d))
+    a[60:80], b[60:80] = -0.0, 1.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_dot = np.sum(a * b, axis=-1)
+        want_norm = np.linalg.norm(a, axis=-1)
+        for order in "CF":
+            fa, fb = np.asarray(a, order=order), np.asarray(b, order=order)
+            for got, want in ((_row_dot(fa, fb), want_dot), (_row_norm(fa), want_norm)):
+                assert got.tobytes() == want.tobytes()
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.0, t_final=1.0, seed=0)
@@ -260,6 +334,20 @@ def test_rc_profile_boundary_cases():
     assert rc_profile(3.1, 0.3, r0, math.inf) == 0.0
 
 
+def test_rc_profile_equals_the_ramps_evaluated_on_every_entry():
+    """Evaluating cos and sin only inside the ramps changes no bit."""
+    r0, n = 2.0, 50.0
+    rng = np.random.default_rng(9)
+    r = np.concatenate([r0 + rng.uniform(-0.05, 0.05, 500), [r0, r0 + 1 / n, np.nan, np.inf]])
+    dq = np.concatenate([rng.uniform(0.0, 0.06, 500), [1 / n, 2 / n, 0.5, np.nan]])
+    u = np.clip((r - r0) * n, 0.0, 1.0)
+    w = np.clip(dq * n - 1.0, 0.0, 1.0)
+    want = (np.where(u >= 1.0, 0.0, np.cos(0.5 * np.pi * u))
+            * np.where(w >= 1.0, 1.0, np.sin(0.5 * np.pi * w)))
+    assert rc_profile(r, dq, r0, n).tobytes() == want.tobytes()
+    assert ((want > 0.0) & (want < 1.0)).sum() > 100
+
+
 def test_kinetic_pair_equal_start_stays_identical(kinetic_bench):
     model, params, table = kinetic_bench
     norm = normalize_kinetic(model)
@@ -442,7 +530,7 @@ def test_blow_up_raised_at_any_step(simulator, identity_params, identity_table, 
     assert err.value.n_bad >= 1
 
 
-@pytest.mark.parametrize("coupling", ["reflection", "harnack"])
+@pytest.mark.parametrize("coupling", ["synchronous", "reflection", "harnack"])
 def test_merged_pairs_step_only_the_first_copy(coupling):
     """The second copy's drift is evaluated on the unmerged pairs only."""
     dw = make_scenario("double-well")
@@ -454,7 +542,10 @@ def test_merged_pairs_step_only_the_first_copy(coupling):
 
     model = EllipticModel(d=1, drift=counted, sigma=dw.sigma, rho=1.0, lip=1.0, radius=3.0)
     cfg = SimConfig(dt=0.05, t_final=2.0, seed=17)
-    run = {"reflection": lambda x, y, n: reflection_pair(model, x, y, cfg, n),
+    # synchronous pairs only merge by contraction: a wider tolerance staggers them
+    sync_cfg = replace(cfg, merge_tol=0.01)
+    run = {"synchronous": lambda x, y, n: synchronous_pair(model, x, y, sync_cfg, n),
+           "reflection": lambda x, y, n: reflection_pair(model, x, y, cfg, n),
            "harnack": lambda x, y, n: harnack_pair(model, x, y, cfg, 0.5, None, n)}[coupling]
 
     run(np.array([0.3]), np.array([0.3]), 8)
@@ -494,8 +585,6 @@ def _golden_runs():
     ou2 = make_scenario("ou", {"d": 2})
     dw = make_scenario("double-well")
     kin = make_scenario("kinetic-quadratic", {"d": 2, "gamma": 1.0, "radius": 1.0})
-    params = metric_constants(kin.k_matrix, kin.lip_inner, kin.lip_outer, kin.radius)
-    norm = normalize_kinetic(kin)
     cfg = SimConfig(dt=0.05, t_final=2.0, seed=41)
     x2 = np.array([[1.0, -0.5], [0.2, 0.2], [-1.5, 0.5], [0.0, 0.0]])
     y2 = np.array([[-0.5, 0.5], [0.2, 0.2], [1.5, -0.5], [0.3, 0.0]])
@@ -505,11 +594,20 @@ def _golden_runs():
     def pair_arrays(tr):
         return [tr.times, tr.z, tr.z_prime, tr.merge_time, tr.rc, tr.sc, tr.girsanov_logw]
 
-    def kinetic(n_smooth):
+    # a non-diagonal K and a nonzero residual, so that the x @ K.T products
+    # and the residual enter the drift's bits
+    k_aniso = np.array([[1.2, 0.3], [0.3, 0.9]])
+    aniso = KineticModel(d=2, gamma=1.0, grad_potential=lambda s: s @ k_aniso.T,
+                         k_matrix=k_aniso, forcing=lambda s, v: 0.03 * np.sin(s - v),
+                         radius=1.0, lip_inner=0.03, lip_outer=0.03)
+
+    def kinetic(n_smooth, model=kin):
         kcfg = replace(cfg, n_smooth=n_smooth)
-        table = build_metric(params, quad_tol=1e-10, n_smooth=n_smooth)
-        return pair_arrays(kinetic_coupled_pair(norm, table, params, z0, zp0, kcfg,
-                                                n_paths=6, record_every=3))
+        kparams = metric_constants(model.k_matrix, model.lip_inner, model.lip_outer,
+                                   model.radius)
+        table = build_metric(kparams, quad_tol=1e-10, n_smooth=n_smooth)
+        return pair_arrays(kinetic_coupled_pair(normalize_kinetic(model), table, kparams,
+                                                z0, zp0, kcfg, n_paths=6, record_every=3))
 
     def fk(system, x):
         est = feynman_kac_h(system, x, 1.7, 32, cfg)
@@ -534,6 +632,8 @@ def _golden_runs():
     rx = np.linspace(-1.6, 1.6, 64)[:, None]
     ry = 1.5 * np.linspace(1.0, -1.0, 64)[:, None] ** 3
     ry[0] = rx[0]
+    sx, sy = np.random.default_rng(3).normal(0.0, 1.0, (2, 16, 2))
+    sy[3] = sx[3]
     hx = np.linspace(-1.5, 1.5, 16)[:, None]
     hy = np.linspace(1.2, -0.9, 16)[:, None]
     hy[5] = hx[5]
@@ -558,6 +658,7 @@ def _golden_runs():
         "kinetic_n5": lambda: kinetic(5),
         "kinetic_n1000": lambda: kinetic(1000),
         "kinetic_ninf": lambda: kinetic(math.inf),
+        "kinetic_aniso": lambda: kinetic(5, aniso),
         "fk_elliptic": lambda: fk(elliptic_fk_system(
             lambda s: -s, lambda s: -0.3 * s[..., 0] ** 2 + 0.1 * s[..., 0], 1), np.array([0.4])),
         "fk_kinetic": lambda: fk(kinetic_fk_system(
@@ -566,6 +667,8 @@ def _golden_runs():
         "rotating_bump": lambda: fields_of([rotating.drift], plane),
         "reflection_bump": lambda: pair_arrays(reflection_pair(bt, rx, ry, cfg, 64, 1)),
         "harnack_staggered": lambda: pair_arrays(harnack_pair(dw, hx, hy, cfg, 0.5, None, 16, 1)),
+        "synchronous_staggered": lambda: pair_arrays(synchronous_pair(
+            rotating, sx, sy, replace(cfg, merge_tol=0.1), 16, 1)),
     }
 
 
@@ -594,6 +697,7 @@ GOLDEN = {
     "harnack_kw": "dc85ffbd339d4e66082b61d0d43f995ecf78474bb37acc678741d869aaca4250",
     "harnack_kw0": "c514be0e8f88a1625f35dbf7b144c6412ff994d1a003d98450980ebc5915664f",
     "harnack_staggered": "a283e669446826b87c46469026ba7061929c0a3fd5c95f73148f6aa08f6d4864",
+    "kinetic_aniso": "5dec1c1600325827b07f6f685a889c665ddc634f8b31f40b6571b4ebe6ef50ef",
     "kinetic_n1000": "00206bd766ebd895129a63655dc0ffd1ba4949a19764e648c9f1325a7dc6f10d",
     "kinetic_n5": "e6aa3e7390c55a2759a44596546f873e26ff74356bbeec64b057300ee7322e03",
     "kinetic_ninf": "00206bd766ebd895129a63655dc0ffd1ba4949a19764e648c9f1325a7dc6f10d",
@@ -602,6 +706,7 @@ GOLDEN = {
     "reflection_equal": "fc36ff8d71514ee1ffccb4fda98b29f170cf10d2c4ce1feaf10dead8085f5c77",
     "rotating_bump": "658c3c3febe89f2b251497c63fa92222cfdc5646bdd1a324f5d3bff88517ecee",
     "synchronous": "e81a091cb66e6a6197b8e77b80d26478b674d18fd326cb23ffd1f2f4b0748582",
+    "synchronous_staggered": "93783068578fff3ccf646ef78039480603a0aafa2b5245dc9979224b7c1fcda4",
 }
 
 
