@@ -55,6 +55,7 @@ from .models import (
 from .simulate import (
     SimConfig,
     SimulationBlowUp,
+    _horizon_steps,
     harnack_pair,
     kinetic_coupled_pair,
     pair_to_csv_rows,
@@ -369,8 +370,7 @@ def _run_fk_const(model, sim, /, *, c: float = 0.5, t: float = 1.0,
                   n_paths: int = 256) -> dict:
     sys_ = elliptic_fk_system(lambda s: -s, lambda s: np.full(s.shape[:-1], c), model.d)
     est = feynman_kac_h(sys_, np.zeros(model.d), t, n_paths, sim)
-    steps = int(math.ceil(t / sim.dt - 1e-12))
-    target = math.exp(c * steps * sim.dt)
+    target = math.exp(c * _horizon_steps(t, sim.dt) * sim.dt)
     return {"estimate": est.to_json(), "target": target,
             "flag": bool(abs(est.value - target) <= 1e-9 + 3.0 * est.stderr)}
 
@@ -467,11 +467,8 @@ def cmd_verify(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
             # an argument the estimator rejects is an error in the config
             raise ConfigError(f"{name}: {exc}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, jobs))
-    else:
-        records = [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        records = list(pool.map(run, jobs))
     aborted = any(r.get("aborted") for r in records)
 
     flags = {r["estimator"]: r.get("flag") for r in records}
@@ -538,11 +535,8 @@ def cmd_sweep(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
         rec["sweep_value"] = value
         return rec
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, points))
-    else:
-        records = [run(p) for p in points]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        records = list(pool.map(run, points))
 
     report = {"config": cfg, "versions": _versions(), "records": records}
     _write_json(out_dir, "sweep_report.json", report)
@@ -663,6 +657,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = _load_config(args.config)
         out_dir = Path(cfg.get("out_dir", args.out))
         checked = _checked_config(args.command, cfg, args.seed)

@@ -181,7 +181,7 @@ def poincare_constant(
 
 
 def sup_inner_drift(
-    model: EllipticModel, r_star: float, n_grid: int = 4096, seed: int = 0
+    model: EllipticModel, r_star: float, n_grid: int = 4096
 ) -> tuple[float, np.ndarray]:
     """Maximize -x.b(x) over the ball |x| <= r_star by sampling.
 
@@ -196,7 +196,7 @@ def sup_inner_drift(
     if model.d == 1:
         xs = np.linspace(-r_star, r_star, max(n_grid, 3))[:, None]
     else:
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 51], dtype=np.uint64)))
+        gen = np.random.Generator(np.random.Philox(key=np.array([0, 51], dtype=np.uint64)))
         raw = gen.standard_normal((n_grid, model.d))
         radii = gen.random(n_grid) ** (1.0 / model.d)
         xs = raw / np.linalg.norm(raw, axis=1, keepdims=True) * (r_star * radii)[:, None]

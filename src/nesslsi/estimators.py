@@ -5,7 +5,7 @@ Every estimator is deterministic given (seed, configuration): sub-streams
 are derived from the config seed by stable tags, ensembles are vectorized
 over a per-path counter-based noise scheme, and reductions run in fixed
 order.  Ergodic averages of the invariant measure use replicated long
-trajectories (burn-in 10/rho, thinning 1/rho by default) since no explicit
+trajectories (burn-in 10/rho, thinning 1/rho) since no explicit
 density is available; replica means provide the standard errors.
 """
 
@@ -33,6 +33,7 @@ from .simulate import (
     SimConfig,
     _as_batch,
     _em_step,
+    _horizon_steps,
     _integrate,
     _record_index,
     derive_seed,
@@ -41,7 +42,6 @@ from .simulate import (
     noise_normals,
     reflection_pair,
     synchronous_pair,
-    system_of,
 )
 
 __all__ = [
@@ -154,16 +154,6 @@ class W1Report:
     envelope_ok: bool | None = None
     rho0: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "mean_dist": self.mean_dist.tolist(),
-            "fit": self.fit.to_json(),
-            "envelope": None if self.envelope is None else self.envelope.tolist(),
-            "envelope_ok": self.envelope_ok,
-            "rho0": self.rho0,
-        }
-
 
 def w1_contraction(
     kind: str,
@@ -172,7 +162,6 @@ def w1_contraction(
     y0,
     cfg: SimConfig,
     n_paths: int,
-    record_every: int | None = None,
     table: MetricTable | None = None,
     params: MetricParams | None = None,
     slack: float = 0.10,
@@ -186,8 +175,7 @@ def w1_contraction(
     """
     if n_paths < 1000:
         raise ValueError("need n_paths >= 1000")
-    if record_every is None:
-        record_every = max(cfg.n_steps // 100, 1)
+    record_every = max(cfg.n_steps // 100, 1)
     if kind == "synchronous":
         traj = synchronous_pair(model, x0, y0, cfg, n_paths, record_every)
     elif kind == "reflection":
@@ -225,15 +213,6 @@ class CoalescenceReport:
     envelope_factor: float | None
     envelope_ok: bool | None
 
-    def to_json(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "survival": self.survival.tolist(),
-            "fit": None if self.fit is None else self.fit.to_json(),
-            "envelope_factor": self.envelope_factor,
-            "envelope_ok": self.envelope_ok,
-        }
-
 
 def coalescence_probability(
     model: EllipticModel,
@@ -241,7 +220,6 @@ def coalescence_probability(
     y0,
     cfg: SimConfig,
     n_paths: int,
-    record_every: int | None = None,
 ) -> CoalescenceReport:
     """Non-merge fraction P[X_t != Y_t] of the reflection coupling over time.
 
@@ -251,12 +229,10 @@ def coalescence_probability(
     """
     if n_paths < 1000:
         raise ValueError("need n_paths >= 1000")
-    if record_every is None:
-        record_every = max(cfg.n_steps // 200, 1)
     # only merge times are read, so record the end points alone; the survival
-    # grid is the one reflection_pair would have recorded at record_every
+    # grid is the one reflection_pair would record at about 200 times
     traj = reflection_pair(model, x0, y0, cfg, n_paths, cfg.n_steps)
-    times = _record_index(cfg.n_steps, record_every) * cfg.dt
+    times = _record_index(cfg.n_steps, max(cfg.n_steps // 200, 1)) * cfg.dt
     merge_t = np.where(np.isnan(traj.merge_time), np.inf, traj.merge_time)
     alive = times[:, None] < merge_t[None, :]
     survival = alive.mean(axis=1)
@@ -280,34 +256,25 @@ def coalescence_probability(
 
 
 def ergodic_sample(
-    model,
+    model: EllipticModel,
     cfg: SimConfig,
     n_replicas: int,
     samples_per_replica: int,
-    burn_in: float,
-    thin: float,
-    x_start=None,
     tag: str = "ergodic",
 ) -> np.ndarray:
-    """Thinned post-burn-in states of replicated trajectories.
+    """Thinned post-burn-in states of replicated trajectories started at 0,
+    with burn-in 10/rho and thinning 1/rho.
 
-    Returns (n_replicas, samples_per_replica, dim).  Replicas are rows of a
+    Returns (n_replicas, samples_per_replica, d).  Replicas are rows of a
     single vectorized ensemble, hence mutually independent and individually
     reproducible.
     """
-    sys_ = system_of(model)
-    burn_steps = int(math.ceil(burn_in / cfg.dt))
-    thin_steps = max(int(round(thin / cfg.dt)), 1)
+    burn_steps = int(math.ceil(10.0 / model.rho / cfg.dt))
+    thin_steps = max(int(round(1.0 / model.rho / cfg.dt)), 1)
     total_steps = burn_steps + thin_steps * samples_per_replica
-    run_cfg = SimConfig(
-        dt=cfg.dt,
-        t_final=total_steps * cfg.dt,
-        seed=derive_seed(cfg.seed, tag),
-        merge_tol=cfg.merge_tol,
-        n_smooth=cfg.n_smooth,
-    )
-    x0 = np.zeros(sys_.dim) if x_start is None else x_start
-    traj = em_path(model, x0, run_cfg, n_paths=n_replicas, record_every=thin_steps)
+    run_cfg = replace(cfg, t_final=total_steps * cfg.dt, seed=derive_seed(cfg.seed, tag))
+    traj = em_path(model, np.zeros(model.d), run_cfg, n_paths=n_replicas,
+                   record_every=thin_steps)
     # recorded times: 0, thin, 2 thin, ...; burn-in occupies the first
     # burn_steps/thin_steps records (rounded up)
     skip = int(math.ceil(burn_steps / thin_steps))
@@ -321,8 +288,6 @@ def lyapunov_expectation(
     cfg: SimConfig,
     n_replicas: int = 64,
     samples_per_replica: int = 400,
-    burn_in: float | None = None,
-    thin: float | None = None,
 ) -> EstimateResult:
     """Ergodic estimate of E exp(delta |X - Y|^2) for two independent
     stationary copies, against the closed-form exponential-moment bound.
@@ -332,11 +297,7 @@ def lyapunov_expectation(
     """
     if not 0 < delta < model.rho / 4.0:
         raise ValueError("delta must lie in (0, rho/4)")
-    burn_in = 10.0 / model.rho if burn_in is None else burn_in
-    thin = 1.0 / model.rho if thin is None else thin
-    sample = ergodic_sample(
-        model, cfg, 2 * n_replicas, samples_per_replica, burn_in, thin, tag="lyapunov"
-    )
+    sample = ergodic_sample(model, cfg, 2 * n_replicas, samples_per_replica, tag="lyapunov")
     xs, ys = sample[:n_replicas], sample[n_replicas:]
     vals = np.exp(delta * np.sum((xs - ys) ** 2, axis=-1))
     rep_means = vals.mean(axis=1)
@@ -425,14 +386,13 @@ def elliptic_fk_system(
 def kinetic_fk_system(
     model: KineticModel,
     potential: Callable[[np.ndarray], np.ndarray] | None = None,
-    fd_step: float = 1e-5,
 ) -> SdeSystem:
     """Kinetic Feynman-Kac system.
 
     The relative-density equation transports along
     dX = -V dt, dV = (-gamma V + grad U(X) - G(X,V)) dt + sqrt(2 gamma) dB,
     with potential phi(x,v) = -div_v G(x,v) + G(x,v).v (central differences
-    when no closed form is supplied).
+    of step 1e-5 when no closed form is supplied).
     """
     d, gamma = model.d, model.gamma
 
@@ -445,15 +405,17 @@ def kinetic_fk_system(
         if model.forcing is None:
             potential_fn = lambda z: np.zeros(z.shape[:-1])
         else:
+            h = 1e-5
+
             def potential_fn(z: np.ndarray) -> np.ndarray:
                 x, v = z[..., :d], z[..., d:]
                 div = np.zeros(z.shape[:-1])
                 for i in range(d):
                     dv = np.zeros(d)
-                    dv[i] = fd_step
+                    dv[i] = h
                     div += (
                         model.force_g(x, v + dv)[..., i] - model.force_g(x, v - dv)[..., i]
-                    ) / (2.0 * fd_step)
+                    ) / (2.0 * h)
                 return -div + np.sum(model.force_g(x, v) * v, axis=-1)
     else:
         potential_fn = potential
@@ -467,7 +429,6 @@ def feynman_kac_h(
     T: float,
     n_paths: int,
     cfg: SimConfig,
-    channel: int = CH_MAIN,
 ) -> EstimateResult:
     """Estimate h_T(x) = E exp( int_0^T phi(X_s) ds ) with h_0 = 1.
 
@@ -477,9 +438,9 @@ def feynman_kac_h(
     """
     if system.potential is None:
         raise ValueError("feynman_kac_h needs a system with a potential")
-    steps = int(math.ceil(T / cfg.dt - 1e-12))
+    steps = _horizon_steps(T, cfg.dt)
     acc = np.zeros(n_paths)
-    em_step = _em_step(system, cfg, channel)
+    em_step = _em_step(system, cfg, CH_MAIN)
 
     def step(k, x, y, active):
         acc[:] += system.potential(x) * cfg.dt
@@ -526,7 +487,6 @@ def u_lipschitz_scan(
     l_phi: float = 0.0,
     c_prime: float | None = None,
     lip_slope: float | None = None,
-    max_rel_stderr: float = 0.10,
 ) -> ScanReport:
     """Check the bounded+Lipschitz increment bound of u_T = ln h_T on a grid.
 
@@ -534,8 +494,7 @@ def u_lipschitz_scan(
     |u(x) - u(y)| <= min_t [2 m_phi t + c_prime (2 m_phi/t + l_phi)|x-y|]
     up to the propagated 3-sigma error.  Kinetic mode (``lip_slope`` given):
     the bound is lip_slope * |x - y|.  Log errors use the delta method; a
-    relative h-standard error above ``max_rel_stderr`` raises
-    :class:`UnstableLogError`.
+    relative h-standard error above 0.1 raises :class:`UnstableLogError`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = points.shape[0]
@@ -547,10 +506,8 @@ def u_lipschitz_scan(
         sub = replace(cfg, seed=derive_seed(cfg.seed, f"uscan-{i}"))
         est = feynman_kac_h(system, pt, T, n_paths, sub)
         rel = est.stderr / est.value if est.value > 0 else math.inf
-        if not math.isfinite(rel) or rel > max_rel_stderr:
-            raise UnstableLogError(
-                f"relative stderr {rel:.3g} at grid point {i} exceeds {max_rel_stderr}"
-            )
+        if not math.isfinite(rel) or rel > 0.10:
+            raise UnstableLogError(f"relative stderr {rel:.3g} at grid point {i} exceeds 0.1")
         u[i] = math.log(est.value)
         su[i] = rel    # delta method: d(ln h) = dh / h
     worst = math.inf
@@ -604,9 +561,9 @@ def mollified_split(u_vals: np.ndarray, xs: np.ndarray, eps: float) -> tuple[flo
 class HyperProbeResult:
     ratio: EstimateResult
     ratio_plugin: float
-    closed_bound: float | None
-    t0: float | None
-    ok: bool | None
+    closed_bound: float
+    t0: float
+    ok: bool
 
     def to_json(self) -> dict:
         return {
@@ -627,36 +584,30 @@ def hypercontractivity_probe(
     n_outer: int,
     n_inner: int,
     cfg: SimConfig,
-    burn_in: float | None = None,
-    thin: float | None = None,
-    check_bound: bool = True,
 ) -> HyperProbeResult:
     """Nested Monte Carlo estimate of |P_t f|_beta / |f|_alpha.
 
     Outer points are ergodic samples of the invariant measure; each feeds an
     inner ensemble estimating P_t f.  The beta-power of a noisy inner mean
     is biased upward, so a leave-one-out jackknife value is reported as the
-    estimate alongside the plug-in value.  When t > t0 the ratio is compared
-    to the explicit hypercontractivity bound.
+    estimate alongside the plug-in value, and compared to the explicit
+    hypercontractivity bound.  A t at or below the bound's t0 raises
+    ValueError before anything is sampled.
     """
-    if not beta > alpha > 1:
-        raise ValueError("need beta > alpha > 1")
+    t0, bound = hypercontractivity_bound(
+        model.lip, model.rho, model.radius, model.sigma, model.d, alpha, beta, t
+    )
     if n_inner < 1000:
         warnings.warn("n_inner < 1000: inner-mean bias may dominate", stacklevel=2)
-    burn_in = 10.0 / model.rho if burn_in is None else burn_in
-    thin = 1.0 / model.rho if thin is None else thin
     n_rep = max(min(n_outer, 64), 1)
     per_rep = int(math.ceil(n_outer / n_rep))
-    ys = ergodic_sample(model, cfg, n_rep, per_rep, burn_in, thin, tag="hyper-outer")
+    ys = ergodic_sample(model, cfg, n_rep, per_rep, tag="hyper-outer")
     ys = ys.reshape(-1, model.d)[:n_outer]
 
     f_alpha_vals = np.abs(f(ys)) ** alpha
     norm_alpha = float(f_alpha_vals.mean()) ** (1.0 / alpha)
 
-    inner_cfg = SimConfig(
-        dt=cfg.dt, t_final=t, seed=derive_seed(cfg.seed, "hyper-inner"),
-        merge_tol=cfg.merge_tol, n_smooth=cfg.n_smooth,
-    )
+    inner_cfg = replace(cfg, t_final=t, seed=derive_seed(cfg.seed, "hyper-inner"))
     tiled = np.repeat(ys, n_inner, axis=0)
     term = em_path(
         model, tiled, inner_cfg, n_paths=n_outer * n_inner, record_every=inner_cfg.n_steps
@@ -679,20 +630,13 @@ def hypercontractivity_probe(
         alpha * float(f_alpha_vals.mean())
     )
     stderr = ratio * math.hypot(se_num, se_den)
-
-    t0 = bound = ok = None
-    if check_bound:
-        t0, bound = hypercontractivity_bound(
-            model.lip, model.rho, model.radius, model.sigma, model.d, alpha, beta, t
-        )
-        ok = ratio <= bound + 3.0 * stderr
     est = EstimateResult(
         value=float(ratio), stderr=float(stderr),
         n_samples=n_outer * n_inner, seed=cfg.seed, bound=bound,
     )
     return HyperProbeResult(
         ratio=est, ratio_plugin=float(ratio_plugin), closed_bound=bound, t0=t0,
-        ok=None if ok is None else bool(ok),
+        ok=bool(ratio <= bound + 3.0 * stderr),
     )
 
 
@@ -716,8 +660,6 @@ def defective_lsi_check(
     cfg: SimConfig,
     n_replicas: int = 64,
     samples_per_replica: int = 400,
-    burn_in: float | None = None,
-    thin: float | None = None,
 ) -> DefectiveLsiCheck:
     """Ergodic check of the defective log-Sobolev inequality
     E[f ln f] <= A E[|grad f|^2 / f] + B for f >= 0 self-normalized to
@@ -726,11 +668,7 @@ def defective_lsi_check(
     Each replica produces one normalized (lhs, rhs) pair; the flag compares
     the mean gap to its 3-sigma replica error.
     """
-    burn_in = 10.0 / model.rho if burn_in is None else burn_in
-    thin = 1.0 / model.rho if thin is None else thin
-    xs = ergodic_sample(
-        model, cfg, n_replicas, samples_per_replica, burn_in, thin, tag="dlsi"
-    )
+    xs = ergodic_sample(model, cfg, n_replicas, samples_per_replica, tag="dlsi")
     fv = f(xs.reshape(-1, model.d)).reshape(n_replicas, samples_per_replica)
     gv = grad_f(xs.reshape(-1, model.d)).reshape(n_replicas, samples_per_replica, model.d)
     if np.any(fv < 0):
@@ -796,23 +734,20 @@ def mckv_fixed_point(
     n_iters: int,
     cfg: SimConfig,
     c_prime: float = 5.0,
-    w2_subsample: int = 256,
-    w2_draws: int = 8,
-    init_spread: float = 3.0,
 ) -> MckvReport:
     """Picard iteration for the stationary interacting-particle measure.
 
     Each iteration freezes the empirical interaction drift, relaxes the
     particle cloud toward the corresponding linear stationary measure, and
     measures the W2 distance between successive clouds (exact assignment on
-    subsamples).  Also probes the interaction-growth condition
+    8 subsamples of 256 particles).  The initial cloud is N(0, 9 I).  Also probes the interaction-growth condition
     |b(x)| (1 + |x|) / (1 + mean |y|) <= c_prime over the final cloud.
     """
     if n_particles < 64:
         raise ValueError("need at least 64 particles")
     dim = 2 * kernel.p
     gen_seed = derive_seed(cfg.seed, "mckv-init")
-    init = init_spread * noise_normals(gen_seed, 0, CH_AUX, (n_particles, dim))
+    init = 3.0 * noise_normals(gen_seed, 0, CH_AUX, (n_particles, dim))
     particles = init
     dists: list[float] = []
     for it in range(n_iters):
@@ -828,8 +763,7 @@ def mckv_fixed_point(
         ).terminal
         dists.append(
             wasserstein2_subsampled(
-                particles, new_particles, k=w2_subsample, draws=w2_draws,
-                seed=derive_seed(cfg.seed, f"mckv-w2-{it}"),
+                particles, new_particles, seed=derive_seed(cfg.seed, f"mckv-w2-{it}")
             )
         )
         particles = new_particles

@@ -126,15 +126,16 @@ def metric_constants(
     )
 
 
-# Cap on unresolved subintervals per cell in _cellwise_simpson.
+# Cap on unresolved subintervals per cell, and on refinement levels, in
+# _cellwise_simpson.
 _LIVE_PER_CELL = 64
+_MAX_DEPTH = 30
 
 
 def _cellwise_simpson(
     f: Callable[[np.ndarray], np.ndarray],
     edges: np.ndarray,
     tol: float,
-    max_depth: int = 30,
 ) -> np.ndarray:
     """Adaptive Simpson integral of f over each cell [edges[i], edges[i+1]],
     vectorized across cells.  Total absolute error is below tol.
@@ -142,7 +143,7 @@ def _cellwise_simpson(
     Raises :class:`QuadratureError` when more than ``_LIVE_PER_CELL`` times
     the number of cells are left unresolved, as happens when rounding in f
     alone exceeds the per-cell tolerance, rather than doubling them at every
-    level left."""
+    level left, or when subintervals are left after ``_MAX_DEPTH`` levels."""
     a = edges[:-1].astype(float)
     b = edges[1:].astype(float)
     n_cells = a.size
@@ -150,13 +151,13 @@ def _cellwise_simpson(
     out = np.zeros(n_cells)
     idx = np.arange(n_cells)
     tol_arr = np.full(n_cells, tol / max(n_cells, 1))
-    for level in range(max_depth + 1):
+    for level in range(_MAX_DEPTH + 1):
         if a.size == 0:
             return out
-        if a.size > max_live or level == max_depth:
+        if a.size > max_live or level == _MAX_DEPTH:
             raise QuadratureError(
                 f"{a.size} subintervals left after {level} refinement levels (at most "
-                f"{max_live} and {max_depth} allowed); is the tolerance below f's rounding?")
+                f"{max_live} and {_MAX_DEPTH} allowed); is the tolerance below f's rounding?")
         m = 0.5 * (a + b)
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         fa, fm, fb = f(a), f(m), f(b)
@@ -252,11 +253,9 @@ class MetricTable:
         if self.grid.size >= 2:
             object.__setattr__(self, "_f_interp", _Pchip(self.grid, self.f_vals))
             object.__setattr__(self, "_g_interp", _Pchip(self.grid, self.g_vals))
-            object.__setattr__(self, "_phi_interp", _Pchip(self.grid, self.phi_primitive))
         else:
             object.__setattr__(self, "_f_interp", None)
             object.__setattr__(self, "_g_interp", None)
-            object.__setattr__(self, "_phi_interp", None)
 
     @property
     def r_up(self) -> float:
@@ -272,12 +271,6 @@ class MetricTable:
         if self._g_interp is None:
             return np.ones_like(np.asarray(r, dtype=float))
         return self._g_interp(np.clip(r, 0.0, self.r_up))
-
-    def phi_int(self, r: np.ndarray) -> np.ndarray:
-        """Primitive Phi(r) of the Gaussian weight, clamped beyond the table."""
-        if self._phi_interp is None:
-            return np.zeros_like(np.asarray(r, dtype=float))
-        return self._phi_interp(np.clip(r, 0.0, self.r_up))
 
     def to_json(self) -> dict:
         return {
@@ -330,12 +323,11 @@ def build_metric(
     params: MetricParams,
     quad_tol: float = 1e-10,
     n_smooth: float = math.inf,
-    grid_points: int = 4096,
 ) -> MetricTable:
     """Tabulate the metric functions and compute the derived scalars.
 
-    With phi(u) = exp(-theta u^2 / 8) and Phi its primitive, on
-    [0, r_up] with r_up = r0 + 1/n:
+    With phi(u) = exp(-theta u^2 / 8) and Phi its primitive, on 4096 evenly
+    spaced points of [0, r_up] with r_up = r0 + 1/n:
 
       kappa_1 = 1 / (2 int_0^{r_up} Phi/phi),
       eps     = min( 1 / (2 int_0^{r_up} [(1 + kappa_1/2) theta u^2 + 4]/phi),
@@ -373,7 +365,7 @@ def build_metric(
         )
 
     r_up = r0 + (0.0 if math.isinf(n_smooth) else 1.0 / n_smooth)
-    grid = np.linspace(0.0, r_up, grid_points)
+    grid = np.linspace(0.0, r_up, 4096)
 
     def phi(u: np.ndarray) -> np.ndarray:
         return np.exp(-theta * u * u / 8.0)

@@ -98,13 +98,10 @@ class EllipticModel:
 @dataclass(frozen=True)
 class DerivedEllipticFields:
     """Dual drift b_tilde = 2 grad log mu_0 - b and potential
-    phi = -div b1 + b1 . grad log mu_0, with an optional bounded/Lipschitz
-    split phi = phi_bounded + phi_lipschitz."""
+    phi = -div b1 + b1 . grad log mu_0."""
 
     b_tilde: Drift
     phi: Callable[[np.ndarray], np.ndarray]
-    phi_bounded: Callable[[np.ndarray], np.ndarray] | None = None
-    phi_lipschitz: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -159,10 +156,6 @@ class KineticModel:
     @property
     def k_min(self) -> float:
         return float(np.linalg.eigvalsh(np.asarray(self.k_matrix, dtype=float)).min())
-
-    @property
-    def k_norm(self) -> float:
-        return float(np.linalg.eigvalsh(np.asarray(self.k_matrix, dtype=float)).max())
 
     @property
     def admissible(self) -> bool:
@@ -284,12 +277,12 @@ def eval_drift(model: EllipticModel | KineticModel, state: np.ndarray) -> np.nda
     return out
 
 
-def derive_elliptic_fields(model: EllipticModel, fd_step: float = 1e-5) -> DerivedEllipticFields:
+def derive_elliptic_fields(model: EllipticModel) -> DerivedEllipticFields:
     """Build the dual drift b_tilde = 2 grad log mu_0 - b and the potential
     phi = -div b1 + b1 . grad log mu_0.
 
     When no closed-form divergence is supplied, div b1 falls back to central
-    differences with step ``fd_step`` (accuracy O(fd_step^2)).
+    differences with step h = 1e-5 (accuracy O(h^2)).
     """
     if model.grad_log_ref is None:
         raise ValueError("model.grad_log_ref (grad log mu_0) is required")
@@ -308,7 +301,7 @@ def derive_elliptic_fields(model: EllipticModel, fd_step: float = 1e-5) -> Deriv
     if model.div_b1 is not None:
         div_b1 = model.div_b1
     else:
-        d, h = model.d, fd_step
+        d, h = model.d, 1e-5
 
         def div_b1(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
@@ -404,33 +397,23 @@ def probe_one_sided_condition(
     n_pairs: int,
     seed: int = 0,
     sampler: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]] | None = None,
-    field: str | Drift = "drift",
-    scale: float = 3.0,
 ) -> OneSidedReport:
     """Sample pairs (x, y) and report the worst one-sided ratios
-    (b(x)-b(y)).(x-y)/|x-y|^2, split at separation |x-y| = R.
+    (b(x)-b(y)).(x-y)/|x-y|^2 of the model's drift b, split at separation
+    |x-y| = R.
 
-    ``field`` selects which drift to probe: "drift", "b_tilde" (requires
-    grad_log_ref) or an arbitrary callable.  Reporting only; the violation
-    flags compare to the model's declared (rho, lip).
+    Without a ``sampler`` both points are N(0, 9 I).  Reporting only; the
+    violation flags compare to the model's declared (rho, lip).
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    if callable(field):
-        b = field
-    elif field == "drift":
-        b = model.drift
-    elif field == "b_tilde":
-        b = derive_elliptic_fields(model).b_tilde
-    else:
-        raise ValueError(f"unknown field {field!r}")
-
+    b = model.drift
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0x9E3779B9], dtype=np.uint64)))
     if sampler is not None:
         x, y = sampler(gen, n_pairs)
     else:
-        x = scale * gen.standard_normal((n_pairs, model.d))
-        y = scale * gen.standard_normal((n_pairs, model.d))
+        x = 3.0 * gen.standard_normal((n_pairs, model.d))
+        y = 3.0 * gen.standard_normal((n_pairs, model.d))
     diff = x - y
     dist2 = np.sum(diff * diff, axis=-1)
     ok = dist2 > 0

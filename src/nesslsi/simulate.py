@@ -31,8 +31,8 @@ on a grid, crossings are not).  A merged pair steps only its first copy and
 its second copy is set to the first, so merged pairs never separate.
 
 Every simulator, the Feynman-Kac weight in ``estimators`` included, runs
-the one time loop ``_integrate``, which owns the record buffers (states and
-rc), the merge bookkeeping and the finiteness check.  A coupling supplies
+the one time loop ``_integrate``, which owns the state record buffers, the
+merge bookkeeping and the finiteness check.  A coupling supplies
 only its one-step update: the second copy's noise map, its merge test and
 its per-path accumulators (the Girsanov int e . dB, the Feynman-Kac
 int phi ds).  Both copies and every accumulator are checked every 16 steps
@@ -82,7 +82,12 @@ _MASK64 = (1 << 64) - 1
 
 CH_MAIN = 0
 CH_AUX = 1
-CH_INIT = 2
+
+
+def _horizon_steps(t: float, dt: float) -> int:
+    """Number of dt-steps that reach the horizon t (a step that falls
+    short of t only by rounding is not taken)."""
+    return int(math.ceil(t / dt - 1e-12))
 
 
 class SimulationBlowUp(FloatingPointError):
@@ -122,7 +127,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(math.ceil(self.t_final / self.dt - 1e-12))
+        return _horizon_steps(self.t_final, self.dt)
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -203,7 +208,8 @@ class PairTrajectory:
     """Two coupled discretized paths with coupling-mode trace.
 
     ``rc``/``sc`` are the reflection/synchronous mixing weights where the
-    coupling records them (rc = 1 pure reflection, 0 pure synchronous).
+    coupling records them (rc = 1 pure reflection, 0 pure synchronous;
+    sc = sqrt(1 - rc^2)).
     ``merge_time`` is nan for pairs that never merged; after merging the two
     paths coincide exactly.  ``girsanov_logw`` is populated by the drifted
     coupling only.
@@ -214,9 +220,12 @@ class PairTrajectory:
     z_prime: np.ndarray                    # (n_rec, n_paths, dim)
     merge_time: np.ndarray                 # (n_paths,)
     rc: np.ndarray | None = None           # (n_rec, n_paths)
-    sc: np.ndarray | None = None
     girsanov_logw: np.ndarray | None = None
     mode: str = ""
+
+    @property
+    def sc(self) -> np.ndarray | None:
+        return None if self.rc is None else np.sqrt(1.0 - self.rc**2)
 
     @property
     def separation(self) -> np.ndarray:
@@ -265,7 +274,6 @@ def _integrate(
     record_every: int = 1,
     tol: np.ndarray | None = None,
     accumulators: tuple[np.ndarray, ...] = (),
-    rc_of: Callable | None = None,
 ):
     """The time loop shared by every simulator.
 
@@ -274,9 +282,8 @@ def _integrate(
     With ``tol`` given, pairs within tol merge at t = 0 and ``active`` pairs
     that ``hit`` merge at t_{k+1}, their second copy set to the first;
     ``advance`` keeps every merged second copy equal to its first copy.
-    ``accumulators`` are per-path arrays that ``advance`` updates in place;
-    ``rc_of(x, y, active)`` is recorded with the states.  Returns
-    ``(times, xs, ys, merge_time, rc)``.
+    ``accumulators`` are per-path arrays that ``advance`` updates in place.
+    Returns ``(times, xs, ys, merge_time)``.
     """
     n_steps = cfg.n_steps if n_steps is None else n_steps
     rec = _record_index(n_steps, record_every)
@@ -292,10 +299,6 @@ def _integrate(
         merge_time[merged] = 0.0
         active = ~merged
         y[merged] = x[merged]
-    rc = None
-    if rc_of is not None:
-        rc = np.empty((rec.size, x.shape[0]))
-        rc[0] = rc_of(x, y, active)
     schedule = rec.tolist()     # Python ints: no numpy scalar per step
     rec_pos, next_rec = 1, schedule[1] if rec.size > 1 else -1
     for step in range(n_steps):
@@ -313,18 +316,15 @@ def _integrate(
             xs[rec_pos] = x
             if y is not None:
                 ys[rec_pos] = y
-            if rc is not None:
-                rc[rec_pos] = rc_of(x, y, active)
             rec_pos += 1
             next_rec = schedule[rec_pos] if rec_pos < rec.size else -1
-    return rec * cfg.dt, xs, ys, merge_time, rc
+    return rec * cfg.dt, xs, ys, merge_time
 
 
 def _pair_trajectory(out, mode: str, **extra) -> PairTrajectory:
-    times, xs, ys, merge_time, rc = out
-    sc = None if rc is None else np.sqrt(1.0 - rc**2)
+    times, xs, ys, merge_time = out
     return PairTrajectory(times=times, z=xs, z_prime=ys, merge_time=merge_time,
-                          rc=rc, sc=sc, mode=mode, **extra)
+                          mode=mode, **extra)
 
 
 def _drift_step(drift: Callable, x: np.ndarray, dt: float) -> np.ndarray:
@@ -429,8 +429,8 @@ def em_path(
     """
     sys_ = system_of(model)
     x = _as_batch(x0, n_paths, sys_.dim)
-    times, xs, _, _, _ = _integrate(cfg, _em_step(sys_, cfg, channel), x,
-                                    record_every=record_every)
+    times, xs, _, _ = _integrate(cfg, _em_step(sys_, cfg, channel), x,
+                                 record_every=record_every)
     return Trajectory(times=times, states=xs)
 
 
@@ -534,9 +534,11 @@ def reflection_pair(
         return y_new
 
     out = _integrate(cfg, _radial_step(model, cfg, tol, reflected), x, y,
-                     record_every=record_every, tol=tol,
-                     rc_of=lambda x, y, active: active.astype(float))
-    return _pair_trajectory(out, "reflection")
+                     record_every=record_every, tol=tol)
+    times, merge_time = out[0], out[3]
+    # a pair reflects until it merges and is synchronous from then on
+    return _pair_trajectory(out, "reflection",
+                            rc=np.where(merge_time <= times[:, None], 0.0, 1.0))
 
 
 def harnack_pair(
@@ -662,9 +664,10 @@ def kinetic_coupled_pair(
         return np.ascontiguousarray(dB.T)
 
     sq2, sqdt = math.sqrt(2.0), math.sqrt(cfg.dt)
-    # the weights of the state the next step starts from; the rc recorded
-    # after a step is the rc the following step mixes with
+    # the weights of the state the next step starts from; the rc of each
+    # recorded state is kept, as the rc that the step after it mixes with
     rc, e = weights(z.T, zp.T)
+    recorded, rcs = set(_record_index(cfg.n_steps, record_every).tolist()), [rc]
 
     def step(k, z, zp, active):
         nonlocal rc, e
@@ -678,11 +681,12 @@ def kinetic_coupled_pair(
         zpt = advanced(zp)
         zpt[d:] += sq2 * (rc * refl + sc * dB_sc)
         rc, e = weights(zt, zpt)
+        if k + 1 in recorded:
+            rcs.append(rc)
         return zt.T, zpt.T, None
 
-    out = _integrate(cfg, step, z, zp, record_every=record_every,
-                     rc_of=lambda z_, zp_, active: rc)
-    return _pair_trajectory(out, "kinetic")
+    out = _integrate(cfg, step, z, zp, record_every=record_every)
+    return _pair_trajectory(out, "kinetic", rc=np.array(rcs))
 
 
 def pair_to_csv_rows(traj: PairTrajectory):

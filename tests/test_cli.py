@@ -452,6 +452,20 @@ def test_threads_do_not_change_kinetic_sweep(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {
+        "scenario": "ou", "estimators": {"one_sided": {"n_pairs": 64}},
+        "sweep": {"estimator": "one_sided", "parameter": "n_pairs", "values": [64, 128]},
+        "out_dir": str(out),
+    })
+    assert main([command, "--config", cfg, "--threads", str(threads)]) == 2
+    assert not out.exists()
+    assert "config error: --threads must be at least 1" in capsys.readouterr().err
+
+
 _OU_ONE_SIDED = {"scenario": "ou", "estimators": {"one_sided": {"n_pairs": 64}}}
 _HYPER_BOUND = {"rho": 1.0, "R": 0.0, "sigma": 1.5, "d": 1, "t": 12.0}
 _KINETIC_DUMP = {"scenario": "kinetic-quadratic", "model": {"d": 1},

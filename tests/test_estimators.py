@@ -401,6 +401,26 @@ def test_hyper_probe_matches_gaussian_closed_form(ou1):
     assert res.ok   # ratio below the explicit bound at t = 2 t0
 
 
+def test_hyper_probe_raises_at_t_up_to_t0_before_sampling(ou1, monkeypatch):
+    """No bound exists for t <= t0 (t0 is about 3 for ou1 at alpha = 2,
+    beta = 3), so the probe raises before it draws any noise."""
+    from nesslsi import simulate
+
+    draws = []
+
+    def counting(*args, _draw=simulate.noise_normals):
+        draws.append(args)
+        return _draw(*args)
+
+    monkeypatch.setattr(simulate, "noise_normals", counting)
+    cfg = SimConfig(dt=1e-2, t_final=1.0, seed=27)
+    for t in (2.9, 1.0):
+        with pytest.raises(ValueError, match="t0"):
+            hypercontractivity_probe(ou1, lambda s: np.ones(s.shape[0]), 2.0, 3.0, t,
+                                     n_outer=8, n_inner=1000, cfg=cfg)
+    assert draws == []
+
+
 def test_hyper_probe_warns_on_small_inner(ou1):
     cfg = SimConfig(dt=1e-2, t_final=0.5, seed=26)
     with pytest.warns(UserWarning, match="n_inner"):
