@@ -552,3 +552,58 @@ def test_readme_estimator_table_matches_runner_signatures():
             break
         rows.append(line)
     assert rows == expected
+
+
+# Small verify and sweep configs on OU whose report bytes are pinned.  The
+# sweep's last grid point lies below t0 = 3, so its record is a rejection.
+_GOLDEN_REPORTS = {
+    "verify": {
+        "scenario": "ou",
+        "sim": {"dt": 1e-2, "t_final": 1.0, "seed": 21},
+        "constants": {"rho": 1.0, "sigma": math.sqrt(2.0)},
+        "estimators": {
+            "one_sided": {"n_pairs": 256},
+            "w1_synchronous": {"n_paths": 1000, "pair": {"x0": [1.5], "y0": [-0.5]}},
+            "w1_reflection": {"n_paths": 1000},
+            "fk_const": {"c": 0.3, "t": 1.0, "n_paths": 64},
+            "hyper_bound": {"L": 0.0, "rho": 1.0, "R": 0.0, "sigma": math.sqrt(2.0), "d": 1,
+                            "t": 4.0},
+        },
+    },
+    "sweep": {
+        "scenario": "ou",
+        "sim": {"dt": 1e-2, "t_final": 1.0, "seed": 22},
+        "estimators": {"fk_const": {"n_paths": 64}},
+        "sweep": {"estimator": "fk_const", "parameter": "c", "values": [0.2, 0.5]},
+    },
+    "sweep_rejected": {
+        "estimators": {"hyper_bound": {"L": 0.5, "rho": 1.0, "R": 1.0,
+                                       "sigma": math.sqrt(2.0), "d": 1}},
+        "sweep": {"estimator": "hyper_bound", "parameter": "t", "values": [6.0, 2.5]},
+    },
+}
+
+GOLDEN_REPORTS = {
+    "verify": "09ee7bf4c51067b160943a0dcae95afe3e0a67c693a9ebace7688df452f841f9",
+    "sweep": "d5fa76aeec22e7b71580a4c091ed7f94126f96573e196c373658b9a4f71ac56c",
+    "sweep_rejected": "449e65aa1246220d12b19357f0030dbffe36ac65c37988a563b310a28a02d33e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_REPORTS))
+def test_report_golden_hash(tmp_path, capsys, case):
+    """The report of a small run reproduces its pinned bytes, apart from the
+    wall clock, the library versions and the output directory."""
+    import hashlib
+
+    out = tmp_path / "out"
+    command = "verify" if case == "verify" else "sweep"
+    cfg = _write(tmp_path, {**_GOLDEN_REPORTS[case], "out_dir": str(out)})
+    main([command, "--config", cfg])
+    report = json.loads((out / f"{command}_report.json").read_text())
+    for key in ("wall_clock_s", "versions"):
+        report.pop(key, None)
+    del report["config"]["out_dir"]
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[case]
+    capsys.readouterr()
