@@ -4,7 +4,6 @@ whose invariant measure has no explicit density."""
 from .models import (
     EllipticModel,
     KineticModel,
-    NormalizedKineticModel,
     CompetitionKernel,
     DerivedEllipticFields,
     eval_drift,
@@ -19,6 +18,7 @@ from .metric import MetricParams, MetricTable, metric_constants, build_metric, r
 from .constants import (
     ConstantsReport,
     harnack_factor,
+    hypercontractivity_t0,
     hypercontractivity_bound,
     interpolate_norm,
     lyapunov_bound,

@@ -7,9 +7,10 @@ verify             run a battery of Monte Carlo estimators against bounds
 sweep              repeat one evaluation over a parameter grid
 dump-trajectories  write coupled-pair paths as CSV
 
-Exit codes: 0 all checks passed, 1 at least one bound violated, 2 config
-error, 3 runtime abort (partial report written).  Reports echo their config
-so any number can be reproduced bit-exactly by re-running from the report.
+Exit codes: 0 all checks passed, 1 at least one bound violated (under
+sweep, also a grid point the estimator rejected), 2 config error, 3 runtime
+abort (partial report written).  Reports echo their config so any number
+can be reproduced bit-exactly by re-running from the report.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .constants import ConstantsReport, constants_report, harnack_factor, hypercontractivity_bound
+from .constants import (
+    ConstantsReport,
+    constants_report,
+    harnack_factor,
+    hypercontractivity_bound,
+    hypercontractivity_t0,
+)
 from .estimators import (
     EstimatorDiverged,
     UnstableLogError,
@@ -308,10 +315,9 @@ def _default_pair(dim: int) -> Pair:
 def _kinetic_metric(model: KineticModel, sim: SimConfig):
     """The unit-friction model that the kinetic coupling simulates, with the
     metric constants and table built from that same model."""
-    norm = normalize_kinetic(model)
-    m = norm.model
-    params = metric_constants(m.k_matrix, m.lip_inner, m.lip_outer, m.radius)
-    return norm, params, build_metric(params, n_smooth=sim.n_smooth)
+    unit = normalize_kinetic(model)
+    params = metric_constants(unit.k_matrix, unit.lip_inner, unit.lip_outer, unit.radius)
+    return unit, params, build_metric(params, n_smooth=sim.n_smooth)
 
 
 def _run_one_sided(model, sim, /, *, n_pairs: int = 4096) -> dict:
@@ -334,9 +340,9 @@ _run_w1_reflection = partial(_run_w1, "reflection")
 
 def _run_w1_kinetic(model, sim, /, *, n_paths: int = 2000, pair: Pair | None = None,
                     slack: float = 0.10) -> dict:
-    norm, params, table = _kinetic_metric(model, sim)
+    unit, params, table = _kinetic_metric(model, sim)
     x0, y0 = pair or _default_pair(2 * model.d)
-    rep = w1_contraction("kinetic", norm, x0, y0, sim, n_paths=n_paths,
+    rep = w1_contraction("kinetic", unit, x0, y0, sim, n_paths=n_paths,
                          table=table, params=params, slack=slack)
     return {"fit": rep.fit.to_json(), "flag": rep.envelope_ok, "rho0": rep.rho0}
 
@@ -392,9 +398,7 @@ def _run_defective_lsi(model, sim, /, *, n_replicas: int = 32,
 def _run_hypercontractivity(model, sim, /, *, c: float = 0.5, alpha: float = 2.0,
                             beta: float = 3.0, t: float | None = None, n_outer: int = 128,
                             n_inner: int = 1024) -> dict:
-    t0, _ = hypercontractivity_bound(
-        model.lip, model.rho, model.radius, model.sigma, model.d, alpha, beta, t=1e9,
-    )
+    t0 = hypercontractivity_t0(model.sigma, model.rho, alpha, beta)
     probe = hypercontractivity_probe(
         model, lambda s: np.exp(c * s[..., 0]), alpha, beta, 2.0 * t0 if t is None else t,
         n_outer=n_outer, n_inner=n_inner, cfg=sim,
@@ -452,6 +456,14 @@ def _run_estimator(name: str, params: dict, kwargs: dict, model, sim: SimConfig)
     return {"estimator": name, "params": params, **_ESTIMATORS[name][1](model, sim, **kwargs)}
 
 
+def _exit_code(records: list[dict]) -> int:
+    """Exit 3 if a record was aborted at runtime, else 1 if a checked flag
+    is False, else 0."""
+    if any(r.get("aborted") for r in records):
+        return EXIT_ABORT
+    return EXIT_VIOLATION if any(r.get("flag") is False for r in records) else EXIT_OK
+
+
 def cmd_verify(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
     sim, model, constants, jobs = (checked[k] for k in ("sim", "model", "constants", "jobs"))
     t_start = time.perf_counter()
@@ -469,7 +481,6 @@ def cmd_verify(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         records = list(pool.map(run, jobs))
-    aborted = any(r.get("aborted") for r in records)
 
     flags = {r["estimator"]: r.get("flag") for r in records}
     checked = [v for v in flags.values() if v is not None]
@@ -496,9 +507,7 @@ def cmd_verify(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
     for name, flag in flags.items():
         status = {True: "pass", False: "FAIL", None: "info"}[flag]
         print(f"{status:5s}  {name}")
-    if aborted:
-        return EXIT_ABORT
-    return EXIT_OK if all(v for v in checked) else EXIT_VIOLATION
+    return _exit_code(records)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +541,8 @@ def cmd_sweep(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
             # a grid point the estimator rejects or aborts is recorded, and the sweep goes on
             rec = {"estimator": name, "params": params, "flag": False,
                    "error": f"{type(exc).__name__}: {exc}"}
+            if isinstance(exc, _RUNTIME_ABORTS):
+                rec["aborted"] = True
         rec["sweep_value"] = value
         return rec
 
@@ -551,7 +562,7 @@ def cmd_sweep(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
     _write_csv(out_dir, "sweep_summary.csv",
                [sweep["parameter"], "flag", "value", "error"], rows)
     print(f"sweep of {name} over {len(points)} values written to {out_dir}")
-    return EXIT_OK
+    return _exit_code(records)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +577,8 @@ def _trajectories(model, sim, /, *, coupling: str = "reflection", n_paths: int =
     every = max(sim.n_steps // 500, 1)
     x0, y0 = pair or _default_pair(_state_dim(model))
     if coupling == "kinetic":
-        norm, params, table = _kinetic_metric(model, sim)
-        return kinetic_coupled_pair(norm, table, params, x0, y0, sim, n_paths=n_paths,
+        unit, params, table = _kinetic_metric(model, sim)
+        return kinetic_coupled_pair(unit, table, params, x0, y0, sim, n_paths=n_paths,
                                     record_every=every)
     if coupling == "harnack":
         return harnack_pair(model, x0, y0, sim, k_w=model.lip * model.radius,

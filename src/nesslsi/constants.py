@@ -26,6 +26,7 @@ __all__ = [
     "ConstantsReport",
     "PerturbationBound",
     "harnack_factor",
+    "hypercontractivity_t0",
     "hypercontractivity_bound",
     "interpolate_norm",
     "lyapunov_bound",
@@ -85,6 +86,14 @@ def harnack_factor(k_w: float, sigma: float, alpha: float, t: float, dist: float
     return math.exp(alpha / (2.0 * sigma**2 * (alpha - 1.0)) * (k_w**2 * t + dist**2 / t))
 
 
+def hypercontractivity_t0(sigma: float, rho: float, alpha: float, beta: float) -> float:
+    """Time t0 = 2 beta/(sigma^2 rho (alpha-1)) after which
+    :func:`hypercontractivity_bound` holds."""
+    if not beta > alpha > 1:
+        raise ValueError("need beta > alpha > 1")
+    return 2.0 * beta / (sigma**2 * rho * (alpha - 1.0))
+
+
 def hypercontractivity_bound(
     L: float, rho: float, R: float, sigma: float, d: int, alpha: float, beta: float, t: float
 ) -> tuple[float, float]:
@@ -95,9 +104,7 @@ def hypercontractivity_bound(
             * exp( beta L R t / (2 sigma^2 (alpha-1))
                    + (1/8) max((1+4d)/(t/t0 - 1), 2 rho R^2) ).
     """
-    if not beta > alpha > 1:
-        raise ValueError("need beta > alpha > 1")
-    t0 = 2.0 * beta / (sigma**2 * rho * (alpha - 1.0))
+    t0 = hypercontractivity_t0(sigma, rho, alpha, beta)
     if t <= t0:
         raise ValueError(f"bound undefined for t <= t0 = {t0:g}")
     prefactor = 1.0 + 4.0 * d + 2.0 * (L + rho) * R**2
@@ -278,25 +285,21 @@ def constants_report(
     d: int,
     alpha_ext: float = 1.0,
     sup_inner: float | None = None,
-    model: EllipticModel | None = None,
 ) -> ConstantsReport:
     """Assemble the full constants report (A, B, C, sigma0, R_star, t0, C_LS).
 
-    ``sup_inner`` may be supplied directly or maximized numerically from
-    ``model``; with neither given, R = 0 is required (the sup over {0}
-    vanishes).  t0 follows the default exponent path alpha = 2, beta = 3.
+    ``sup_inner`` is sup{-x.b(x) : |x| <= R_star} (see
+    :func:`sup_inner_drift`); it may be omitted only when R = 0, where the
+    sup over {0} vanishes.  t0 follows the default exponent path alpha = 2,
+    beta = 3.
     """
     A, B = defective_lsi_constants(L, rho, sigma, d, R)
-    r_star = R * (2.0 + 2.0 * L / rho) ** (1.0 / d)
     if sup_inner is None:
-        if model is not None:
-            sup_inner, _ = sup_inner_drift(model, r_star)
-        elif R == 0.0:
-            sup_inner = 0.0
-        else:
-            raise ValueError("sup_inner or model required when R > 0")
+        if R != 0.0:
+            raise ValueError("sup_inner required when R > 0")
+        sup_inner = 0.0
     r_star, sigma0, C = poincare_constant(L, rho, R, sigma, d, alpha_ext, sup_inner)
-    t0 = 2.0 * 3.0 / (sigma**2 * rho * (2.0 - 1.0))
+    t0 = hypercontractivity_t0(sigma, rho, 2.0, 3.0)
     return ConstantsReport(
         A=A,
         B=B,

@@ -150,7 +150,6 @@ class W1Report:
     times: np.ndarray
     mean_dist: np.ndarray
     fit: RateFit
-    envelope: np.ndarray | None = None
     envelope_ok: bool | None = None
     rho0: float | None = None
 
@@ -192,7 +191,7 @@ def w1_contraction(
         raise EstimatorDiverged("fewer than 3 time points with positive mean separation")
     fit = fit_exponential_rate(traj.times[positive], mean_dist[positive])
 
-    envelope = envelope_ok = rho0 = None
+    envelope_ok = rho0 = None
     if kind == "kinetic":
         z0b = traj.z[0]
         zp0b = traj.z_prime[0]
@@ -200,8 +199,7 @@ def w1_contraction(
         envelope = table.c1 * np.exp(-table.kappa * traj.times) * rho0
         envelope_ok = bool(np.all(mean_dist <= (1.0 + slack) * envelope))
     return W1Report(
-        times=traj.times, mean_dist=mean_dist, fit=fit,
-        envelope=envelope, envelope_ok=envelope_ok, rho0=rho0,
+        times=traj.times, mean_dist=mean_dist, fit=fit, envelope_ok=envelope_ok, rho0=rho0,
     )
 
 
@@ -485,21 +483,20 @@ def u_lipschitz_scan(
     cfg: SimConfig,
     m_phi: float = 0.0,
     l_phi: float = 0.0,
-    c_prime: float | None = None,
-    lip_slope: float | None = None,
+    *,
+    c_prime: float,
 ) -> ScanReport:
     """Check the bounded+Lipschitz increment bound of u_T = ln h_T on a grid.
 
-    Elliptic mode (``c_prime`` given): each pair (x, y) must satisfy
+    Each pair (x, y) must satisfy
     |u(x) - u(y)| <= min_t [2 m_phi t + c_prime (2 m_phi/t + l_phi)|x-y|]
-    up to the propagated 3-sigma error.  Kinetic mode (``lip_slope`` given):
-    the bound is lip_slope * |x - y|.  Log errors use the delta method; a
-    relative h-standard error above 0.1 raises :class:`UnstableLogError`.
+    up to the propagated 3-sigma error; a plain Lipschitz bound L |x - y|
+    is the case m_phi = 0, l_phi = L, c_prime = 1.  Log errors use the delta
+    method; a relative h-standard error above 0.1 raises
+    :class:`UnstableLogError`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = points.shape[0]
-    if (c_prime is None) == (lip_slope is None):
-        raise ValueError("exactly one of c_prime (elliptic) or lip_slope (kinetic) is required")
     u = np.empty(n_pts)
     su = np.empty(n_pts)
     for i, pt in enumerate(points):
@@ -515,10 +512,7 @@ def u_lipschitz_scan(
     for i in range(n_pts):
         for j in range(i + 1, n_pts):
             dist = float(np.linalg.norm(points[i] - points[j]))
-            if lip_slope is not None:
-                bound = lip_slope * dist
-            else:
-                bound = perturbation_bound_elliptic(m_phi, l_phi, c_prime, dist).total
+            bound = perturbation_bound_elliptic(m_phi, l_phi, c_prime, dist).total
             margin = bound + 3.0 * math.hypot(su[i], su[j]) - abs(u[i] - u[j])
             if margin < worst:
                 worst, worst_pair = margin, (i, j)

@@ -32,7 +32,6 @@ R = 0 the pointwise bound |z - z'| <= C1 rho only holds for |z - z'| >=
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -236,7 +235,6 @@ class MetricTable:
     """
 
     grid: np.ndarray
-    phi_gauss: np.ndarray
     phi_primitive: np.ndarray
     g_vals: np.ndarray
     f_vals: np.ndarray
@@ -246,7 +244,6 @@ class MetricTable:
     c1: float
     c2: float
     quad_tol: float
-    n_smooth: float
     params: MetricParams
 
     def __post_init__(self):
@@ -271,52 +268,6 @@ class MetricTable:
         if self._g_interp is None:
             return np.ones_like(np.asarray(r, dtype=float))
         return self._g_interp(np.clip(r, 0.0, self.r_up))
-
-    def to_json(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "phi_gauss": self.phi_gauss.tolist(),
-            "phi_primitive": self.phi_primitive.tolist(),
-            "g_vals": self.g_vals.tolist(),
-            "f_vals": self.f_vals.tolist(),
-            "kappa1": self.kappa1,
-            "eps": self.eps,
-            "kappa": self.kappa,
-            "c1": self.c1,
-            "c2": self.c2,
-            "quad_tol": self.quad_tol,
-            "n_smooth": None if math.isinf(self.n_smooth) else self.n_smooth,
-            "params": self.params.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MetricTable":
-        pp = dict(payload["params"])
-        pp["k_matrix"] = np.asarray(pp["k_matrix"], dtype=float)
-        params = MetricParams(**pp)
-        n_smooth = payload["n_smooth"]
-        return cls(
-            grid=np.asarray(payload["grid"], dtype=float),
-            phi_gauss=np.asarray(payload["phi_gauss"], dtype=float),
-            phi_primitive=np.asarray(payload["phi_primitive"], dtype=float),
-            g_vals=np.asarray(payload["g_vals"], dtype=float),
-            f_vals=np.asarray(payload["f_vals"], dtype=float),
-            kappa1=payload["kappa1"],
-            eps=payload["eps"],
-            kappa=payload["kappa"],
-            c1=payload["c1"],
-            c2=payload["c2"],
-            quad_tol=payload["quad_tol"],
-            n_smooth=math.inf if n_smooth is None else n_smooth,
-            params=params,
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "MetricTable":
-        return cls.from_json(json.loads(text))
 
 
 def build_metric(
@@ -350,7 +301,6 @@ def build_metric(
         # Singular eps/C1; synchronous coupling contracts G directly.
         return MetricTable(
             grid=np.zeros(1),
-            phi_gauss=np.ones(1),
             phi_primitive=np.zeros(1),
             g_vals=np.ones(1),
             f_vals=np.zeros(1),
@@ -360,7 +310,6 @@ def build_metric(
             c1=math.sqrt(2.0) / lam,
             c2=theta + math.sqrt(2.0),
             quad_tol=quad_tol,
-            n_smooth=n_smooth,
             params=params,
         )
 
@@ -407,7 +356,6 @@ def build_metric(
     c1 = math.sqrt(2.0) * max(2.0 * (theta + 1.0) * radius / phi_at_r0, 1.0 / (lam * eps * radius))
     return MetricTable(
         grid=grid,
-        phi_gauss=phi(grid),
         phi_primitive=phi_primitive,
         g_vals=g_vals,
         f_vals=f_vals,
@@ -417,7 +365,6 @@ def build_metric(
         c1=c1,
         c2=theta + math.sqrt(2.0),
         quad_tol=quad_tol,
-        n_smooth=n_smooth,
         params=params,
     )
 

@@ -30,7 +30,6 @@ __all__ = [
     "EllipticModel",
     "DerivedEllipticFields",
     "KineticModel",
-    "NormalizedKineticModel",
     "CompetitionKernel",
     "OneSidedReport",
     "eval_drift",
@@ -61,9 +60,7 @@ class EllipticModel:
     inside (for whichever drift field the caller declares them; see
     :func:`probe_one_sided_condition`).  ``grad_log_ref`` is grad log mu_0
     for the reference invariant density of the b0 part, needed to derive
-    the dual drift and the perturbation potential.  ``m_phi``/``l_phi``
-    bound the bounded/Lipschitz split of that potential and ``c0`` is the
-    reference log-Sobolev constant (metadata only).
+    the dual drift and the perturbation potential.
     """
 
     d: int
@@ -76,10 +73,6 @@ class EllipticModel:
     b1: Drift | None = None
     grad_log_ref: Drift | None = None
     div_b1: Callable[[np.ndarray], np.ndarray] | None = None
-    m_phi: float = 0.0
-    l_phi: float = 0.0
-    c0: float | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -125,9 +118,6 @@ class KineticModel:
     radius: float = 0.0
     lip_inner: float = 0.0
     lip_outer: float = 0.0
-    l_phi: float = 0.0
-    c0: float | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -188,21 +178,6 @@ class KineticModel:
 
 
 @dataclass(frozen=True)
-class NormalizedKineticModel:
-    """gamma = 1 rescaling of a kinetic model (time t -> gamma t, position
-    x -> gamma x, velocity unchanged), whose Euler-Maruyama paths map back
-    onto the original model's paths under matched Brownian rescaling."""
-
-    model: KineticModel
-    time_scale: float
-    space_scale: float
-
-    @property
-    def d(self) -> int:
-        return self.model.d
-
-
-@dataclass(frozen=True)
 class CompetitionKernel:
     """Two-population competition kernel K(x1, x2) on R^p x R^p with its two
     partial gradients.  The first population climbs K averaged over the
@@ -212,8 +187,6 @@ class CompetitionKernel:
     k_func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_x1: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_x2: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_bound: float | None = None
-    hess_bound: float | None = None
 
     def __post_init__(self):
         x1 = _check_points(self.p, seed=31, n=16)
@@ -345,19 +318,22 @@ def make_competition_drift(kernel: CompetitionKernel, particles: np.ndarray) -> 
     return b_emp
 
 
-def normalize_kinetic(model: KineticModel) -> NormalizedKineticModel:
-    """Rescale a kinetic model to unit friction.
+def normalize_kinetic(model: KineticModel) -> KineticModel:
+    """Rescale a kinetic model to unit friction; at gamma = 1 the model
+    itself is returned.
 
     New time gamma*t, new position gamma*x, velocity unchanged; the rescaled
     system has friction 1 and noise sqrt(2), with K -> K/gamma^2 and
-    g -> g(x/gamma, v)/gamma.  Structural constants transform conservatively:
-    R -> max(1, gamma) R, L_i -> L_i max(1, 1/gamma)/gamma.
+    g -> g(x/gamma, v)/gamma, and its Euler-Maruyama paths map back onto the
+    original model's paths under matched Brownian rescaling.  Structural
+    constants transform conservatively: R -> max(1, gamma) R,
+    L_i -> L_i max(1, 1/gamma)/gamma.
     """
     gamma = model.gamma
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if gamma == 1.0:
-        return NormalizedKineticModel(model=model, time_scale=1.0, space_scale=1.0)
+        return model
 
     grad_u, forcing, residual = model.grad_potential, model.forcing, model.residual
     lip_scale = max(1.0, 1.0 / gamma) / gamma
@@ -375,7 +351,7 @@ def normalize_kinetic(model: KineticModel) -> NormalizedKineticModel:
         def residual_hat(x: np.ndarray, v: np.ndarray) -> np.ndarray:
             return residual(x / gamma, v) / gamma
 
-    scaled = KineticModel(
+    return KineticModel(
         d=model.d,
         gamma=1.0,
         grad_potential=grad_u_hat,
@@ -385,11 +361,7 @@ def normalize_kinetic(model: KineticModel) -> NormalizedKineticModel:
         radius=max(1.0, gamma) * model.radius,
         lip_inner=model.lip_inner * lip_scale,
         lip_outer=model.lip_outer * lip_scale,
-        l_phi=model.l_phi,
-        c0=model.c0,
-        name=model.name + "-normalized" if model.name else "",
     )
-    return NormalizedKineticModel(model=scaled, time_scale=gamma, space_scale=gamma)
 
 
 def probe_one_sided_condition(
@@ -476,7 +448,6 @@ def _scenario_ou(
         rho=rate if declared_rho is None else declared_rho,  # may deliberately misdeclare
         lip=0.0, radius=0.0,
         b0=drift, b1=lambda x: np.zeros_like(x), grad_log_ref=glr,
-        c0=sigma**2 / (2.0 * rate), name="ou",
     )
 
 
@@ -507,17 +478,14 @@ def _scenario_rotating(
     lip_v = 22.0 * abs(v_amp) / v_width**2
     return EllipticModel(
         d=2, drift=drift, sigma=math.sqrt(2.0), rho=max(1.0 - lip_v, 0.05),
-        lip=lip_v, radius=2.0 * v_width, b0=b0, b1=b1,
-        grad_log_ref=lambda x: -x, c0=1.0, name="rotating",
+        lip=lip_v, radius=2.0 * v_width, b0=b0, b1=b1, grad_log_ref=lambda x: -x,
     )
 
 
 def _scenario_double_well(*, d: int = 1, sigma: float = math.sqrt(2.0)) -> EllipticModel:
     drift = lambda x: x - x**3
     # contraction outside |x-y| >= R = 3: (b(x)-b(y)).(x-y) <= (1 - r^2/4)|x-y|^2
-    return EllipticModel(
-        d=d, drift=drift, sigma=sigma, rho=1.0, lip=1.0, radius=3.0, name="double-well",
-    )
+    return EllipticModel(d=d, drift=drift, sigma=sigma, rho=1.0, lip=1.0, radius=3.0)
 
 
 def _scenario_kinetic_quadratic(
@@ -530,7 +498,6 @@ def _scenario_kinetic_quadratic(
         forcing=None,
         residual=lambda x, v: np.zeros_like(x),
         radius=radius, lip_inner=0.0, lip_outer=0.0,
-        l_phi=0.0, c0=1.0, name="kinetic-quadratic",
     )
 
 
@@ -547,10 +514,7 @@ def arctan_kernel(p: int = 1) -> CompetitionKernel:
     def grad_x2(x1, x2):
         return -1.0 / (1.0 + (x1 - x2) ** 2)
 
-    return CompetitionKernel(
-        p=p, k_func=k_func, grad_x1=grad_x1, grad_x2=grad_x2,
-        grad_bound=1.0, hess_bound=0.6495190528383291,  # max |d/du 1/(1+u^2)| = 3 sqrt(3)/8
-    )
+    return CompetitionKernel(p=p, k_func=k_func, grad_x1=grad_x1, grad_x2=grad_x2)
 
 
 def _scenario_competition(*, p: int = 1, lam: float = 0.05) -> dict:
@@ -560,7 +524,6 @@ def _scenario_competition(*, p: int = 1, lam: float = 0.05) -> dict:
         "kernel": arctan_kernel(p),
         "grad_v": lambda x: x,
         "lam": lam,
-        "d": 2 * p,
     }
 
 

@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import EllipticModel, KineticModel, NormalizedKineticModel
+from .models import EllipticModel, KineticModel
 from .metric import MetricParams, MetricTable
 
 __all__ = [
@@ -182,8 +182,6 @@ def system_of(model) -> SdeSystem:
     """Wrap a model as an SdeSystem (physical dynamics)."""
     if isinstance(model, EllipticModel):
         return SdeSystem(model.d, model.drift, model.d, model.sigma)
-    if isinstance(model, NormalizedKineticModel):
-        model = model.model
     if isinstance(model, KineticModel):
         return SdeSystem(
             2 * model.d, model.kinetic_drift, model.d, math.sqrt(2.0 * model.gamma)
@@ -613,7 +611,7 @@ def rc_profile(r: np.ndarray, dq_norm: np.ndarray, r0: float, n_smooth: float) -
 
 
 def kinetic_coupled_pair(
-    normalized: NormalizedKineticModel,
+    model: KineticModel,
     table: MetricTable,
     params: MetricParams,
     z0,
@@ -622,7 +620,8 @@ def kinetic_coupled_pair(
     n_paths: int = 1,
     record_every: int = 1,
 ) -> PairTrajectory:
-    """Reflection-synchronous coupling for a unit-friction kinetic diffusion.
+    """Reflection-synchronous coupling for a unit-friction kinetic diffusion
+    (see :func:`~nesslsi.models.normalize_kinetic`).
 
     Both copies follow dX = V dt, dV = (-V - KX + g(X,V)) dt + sqrt(2) dB'.
     The second copy's Brownian is assembled from the main noise B and an
@@ -631,7 +630,6 @@ def kinetic_coupled_pair(
     q-separation.  The reassembled B' is again a Brownian motion, so the
     marginal law of the second copy is exact.
     """
-    model = normalized.model
     if model.gamma != 1.0:
         raise ValueError("kinetic coupling runs on the normalized (gamma = 1) system")
     if not model.admissible:

@@ -198,7 +198,7 @@ def test_criterion_08_kinetic_envelope(kinetic_bench):
                                     n_paths=4000, record_every=cfg.n_steps)
         from nesslsi.simulate import SdeSystem
 
-        sys_ = SdeSystem(dim=4, drift=norm.model.control_drift, noise_dim=2,
+        sys_ = SdeSystem(dim=4, drift=norm.control_drift, noise_dim=2,
                          noise_scale=math.sqrt(2.0))
         indep = em_path(sys_, zp0, SimConfig(dt=1e-3, t_final=10.0, seed=90105),
                         n_paths=4000, record_every=cfg.n_steps).terminal

@@ -218,7 +218,7 @@ def test_verify_kinetic_metric_is_that_of_the_normalized_model(tmp_path, capsys)
     })
     assert main(["verify", "--config", cfg]) in (0, 1)
     record = json.loads((out / "verify_report.json").read_text())["records"][0]
-    m = normalize_kinetic(make_scenario("kinetic-quadratic", {"d": 2, "gamma": 2.0})).model
+    m = normalize_kinetic(make_scenario("kinetic-quadratic", {"d": 2, "gamma": 2.0}))
     params = metric_constants(m.k_matrix, m.lip_inner, m.lip_outer, m.radius)
     table = build_metric(params, n_smooth=1000)
     expected = float(rho_star(table, params, np.array(x0), np.array(y0)))
@@ -364,10 +364,32 @@ def test_sweep_records_child_failures_and_continues(tmp_path, capsys):
                   "values": [0.125, 0.9]},   # 0.9 violates delta < rho/4
         "out_dir": str(out),
     })
-    assert main(["sweep", "--config", cfg]) == 0
+    assert main(["sweep", "--config", cfg]) == 1
     report = json.loads((out / "sweep_report.json").read_text())
     assert "error" not in report["records"][0]
     assert "error" in report["records"][1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("code, payload", [
+    pytest.param(0, {"scenario": "ou", "sweep": {"estimator": "one_sided", "parameter": "n_pairs",
+                                                 "values": [64, 128]}}, id="passed"),
+    pytest.param(1, {"scenario": "ou", "model": {"declared_rho": 8.0},
+                     "sweep": {"estimator": "one_sided", "parameter": "n_pairs",
+                               "values": [64, 128]}}, id="violated"),
+    pytest.param(3, {"scenario": "ou", "sim": {"dt": 1e-2, "t_final": 2.0, "seed": 1},
+                     "estimators": {"fk_const": {"t": 2.0, "n_paths": 16}},
+                     "sweep": {"estimator": "fk_const", "parameter": "c",
+                               "values": [0.5, 500.0]}}, id="aborted"),
+])
+def test_sweep_exit_code(tmp_path, capsys, code, payload):
+    """A sweep exits as verify does: 3 if a grid point aborted at runtime,
+    else 1 if a flag is False, else 0."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {**payload, "out_dir": str(out)})
+    assert main(["sweep", "--config", cfg]) == code
+    records = json.loads((out / "sweep_report.json").read_text())["records"]
+    assert [r.get("aborted", False) for r in records] == [False, code == 3]
     capsys.readouterr()
 
 
@@ -554,8 +576,9 @@ def test_readme_estimator_table_matches_runner_signatures():
     assert rows == expected
 
 
-# Small verify and sweep configs on OU whose report bytes are pinned.  The
-# sweep's last grid point lies below t0 = 3, so its record is a rejection.
+# Small verify and sweep configs whose report bytes are pinned.  The last
+# grid point of ``sweep_rejected`` lies below t0 = 3, so the estimator
+# rejects it and its record holds the error.
 _GOLDEN_REPORTS = {
     "verify": {
         "scenario": "ou",

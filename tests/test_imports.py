@@ -1,8 +1,9 @@
-"""Every name that a module of the package imports is used in that module.
+"""Every name that a module of the package imports is used in that module,
+and every name in a module's ``__all__`` is bound in that module.
 
 No linter ships with the package's test dependencies, so this check parses
-each module with the standard ``ast`` module.  ``__init__.py`` is left out:
-it imports names to re-export them.
+each module with the standard ``ast`` module.  ``__init__.py`` is left out
+of the unused-import check: it imports names to re-export them.
 """
 
 import ast
@@ -35,3 +36,31 @@ def test_unused_import_check_sees_an_unused_name():
                                           if p.name != "__init__.py"))
 def test_module_imports_no_unused_name(module):
     assert _unused_imports((_PACKAGE / module).read_text()) == []
+
+
+def _unbound_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level statement of the module binds."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound.update(names)
+            if "__all__" in names:
+                exported = [ast.literal_eval(elt) for elt in node.value.elts]
+    return sorted(name for name in exported if name not in bound)
+
+
+def test_unbound_export_check_sees_a_stale_name():
+    assert _unbound_exports("import os\nx = 1\ndef f(): pass\n"
+                            "__all__ = ['os', 'x', 'f', 'gone']\n") == ["gone"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in _PACKAGE.glob("*.py")))
+def test_module_all_names_are_bound(module):
+    assert _unbound_exports((_PACKAGE / module).read_text()) == []

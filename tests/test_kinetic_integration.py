@@ -42,8 +42,7 @@ def anisotropic_model():
 @pytest.fixture(scope="module")
 def anisotropic_setup(anisotropic_model):
     norm = normalize_kinetic(anisotropic_model)
-    m = norm.model
-    params = metric_constants(m.k_matrix, m.lip_inner, m.lip_outer, m.radius)
+    params = metric_constants(norm.k_matrix, norm.lip_inner, norm.lip_outer, norm.radius)
     table = build_metric(params, quad_tol=1e-10)
     return norm, params, table
 
@@ -51,9 +50,9 @@ def anisotropic_setup(anisotropic_model):
 def test_admissibility_survives_normalization(anisotropic_model):
     assert anisotropic_model.admissible
     norm = normalize_kinetic(anisotropic_model)
-    assert norm.model.admissible
-    assert norm.model.gamma == 1.0
-    np.testing.assert_allclose(norm.model.k_matrix,
+    assert norm.admissible
+    assert norm.gamma == 1.0
+    np.testing.assert_allclose(norm.k_matrix,
                                anisotropic_model.k_matrix / 1.5**2)
 
 
@@ -112,7 +111,7 @@ def test_marginal_moments_match_independent_simulation(anisotropic_setup):
     n = 4000
     traj = kinetic_coupled_pair(norm, table, params, z0, zp0, cfg,
                                 n_paths=n, record_every=cfg.n_steps)
-    sys_ = SdeSystem(dim=4, drift=norm.model.control_drift, noise_dim=2,
+    sys_ = SdeSystem(dim=4, drift=norm.control_drift, noise_dim=2,
                      noise_scale=math.sqrt(2.0))
     indep = em_path(sys_, zp0, SimConfig(dt=cfg.dt, t_final=cfg.t_final, seed=77062),
                     n_paths=n, record_every=cfg.n_steps).terminal

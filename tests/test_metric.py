@@ -6,7 +6,6 @@ import pytest
 from scipy.special import erf
 
 from nesslsi.metric import (
-    MetricTable,
     QuadratureError,
     _cellwise_simpson,
     _edge_slope,
@@ -253,19 +252,6 @@ def test_g_quadratic_sandwich(identity_params):
     sq = np.sum(dx * dx, axis=-1) + np.sum(dv * dv, axis=-1)
     assert np.all(G >= identity_params.lam * sq - 1e-12)
     assert np.all(G <= identity_params.theta / 2.0 * sq + 1e-12)
-
-
-def test_table_json_round_trip(identity_table, identity_params):
-    clone = MetricTable.loads(identity_table.dumps())
-    rs = np.linspace(0.0, 3.0, 17)
-    np.testing.assert_allclose(clone.f(rs), identity_table.f(rs), rtol=0, atol=1e-15)
-    assert clone.kappa == identity_table.kappa
-    assert clone.c1 == identity_table.c1
-    z, zp = _random_pairs_both_branches(identity_params, 64, seed=2)
-    np.testing.assert_allclose(
-        rho_star(clone, identity_params, z, zp),
-        rho_star(identity_table, identity_params, z, zp),
-    )
 
 
 def _golden_tables():

@@ -413,7 +413,7 @@ def test_kinetic_pair_marginal_moments_match_independent_run(kinetic_bench):
     coupled_term = traj.z_prime[-1]
 
     indep_cfg = SimConfig(dt=cfg.dt, t_final=cfg.t_final, seed=18_000, n_smooth=1000)
-    sys_ = SdeSystem(dim=4, drift=norm.model.control_drift, noise_dim=2,
+    sys_ = SdeSystem(dim=4, drift=norm.control_drift, noise_dim=2,
                      noise_scale=math.sqrt(2.0))
     indep_term = em_path(sys_, zp0, indep_cfg, n_paths=n,
                          record_every=indep_cfg.n_steps).terminal
