@@ -601,13 +601,17 @@ def _golden_runs():
                          k_matrix=k_aniso, forcing=lambda s, v: 0.03 * np.sin(s - v),
                          radius=1.0, lip_inner=0.03, lip_outer=0.03)
 
-    def kinetic(n_smooth, model=kin):
+    def kinetic(n_smooth, model=kin, starts=(z0, zp0), n_paths=6):
         kcfg = replace(cfg, n_smooth=n_smooth)
         kparams = metric_constants(model.k_matrix, model.lip_inner, model.lip_outer,
                                    model.radius)
         table = build_metric(kparams, quad_tol=1e-10, n_smooth=n_smooth)
         return pair_arrays(kinetic_coupled_pair(normalize_kinetic(model), table, kparams,
-                                                z0, zp0, kcfg, n_paths=6, record_every=3))
+                                                *starts, kcfg, n_paths=n_paths, record_every=3))
+
+    # benchmark size: 2,000 paths reach BLAS blocking and the SIMD tails of
+    # every elementwise loop, which a handful of paths never does
+    bench_starts = np.random.default_rng(7).normal(0.0, 1.0, (2, 2000, 4))
 
     def fk(system, x):
         est = feynman_kac_h(system, x, 1.7, 32, cfg)
@@ -659,6 +663,7 @@ def _golden_runs():
         "kinetic_n1000": lambda: kinetic(1000),
         "kinetic_ninf": lambda: kinetic(math.inf),
         "kinetic_aniso": lambda: kinetic(5, aniso),
+        "kinetic_aniso_bench": lambda: kinetic(1000, aniso, bench_starts, 2000),
         "fk_elliptic": lambda: fk(elliptic_fk_system(
             lambda s: -s, lambda s: -0.3 * s[..., 0] ** 2 + 0.1 * s[..., 0], 1), np.array([0.4])),
         "fk_kinetic": lambda: fk(kinetic_fk_system(
@@ -698,6 +703,7 @@ GOLDEN = {
     "harnack_kw0": "c514be0e8f88a1625f35dbf7b144c6412ff994d1a003d98450980ebc5915664f",
     "harnack_staggered": "a283e669446826b87c46469026ba7061929c0a3fd5c95f73148f6aa08f6d4864",
     "kinetic_aniso": "5dec1c1600325827b07f6f685a889c665ddc634f8b31f40b6571b4ebe6ef50ef",
+    "kinetic_aniso_bench": "b2727e1d7c1405e04dcc1b95e4c18a2afb6d9518345ae7122dd70fb997db6bd6",
     "kinetic_n1000": "00206bd766ebd895129a63655dc0ffd1ba4949a19764e648c9f1325a7dc6f10d",
     "kinetic_n5": "e6aa3e7390c55a2759a44596546f873e26ff74356bbeec64b057300ee7322e03",
     "kinetic_ninf": "00206bd766ebd895129a63655dc0ffd1ba4949a19764e648c9f1325a7dc6f10d",
