@@ -171,10 +171,22 @@ class KineticModel:
 
     def control_drift(self, z: np.ndarray) -> np.ndarray:
         """Velocity-flipped drift (v, -gamma v - Kx + g(x,v)) used by the
-        stochastic-control representation and the coupled-pair simulator."""
+        stochastic-control representation and the coupled-pair simulator.
+
+        The result has z's memory order, so that on a Fortran-ordered batch
+        every pass runs along the paths.  Its bits are those of
+        ``concatenate([v, -gamma * v - x @ K.T + g])``.
+        """
         x, v = z[..., : self.d], z[..., self.d :]
-        acc = -self.gamma * v - x @ np.asarray(self.k_matrix).T + self.residual_g(x, v)
-        return np.concatenate([v, acc], axis=-1)
+        out = np.empty_like(z, dtype=float)
+        out[..., : self.d] = v
+        acc = out[..., self.d :]
+        np.multiply(v, -self.gamma, out=acc)
+        # x @ K.T is C-ordered whatever z's order; through the transposes
+        # numpy's inner loop runs along the paths on a Fortran-ordered z
+        np.subtract(acc.T, (x @ self.k_matrix.T).T, out=acc.T)
+        acc += self.residual_g(x, v)
+        return out
 
 
 @dataclass(frozen=True)

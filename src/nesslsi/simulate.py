@@ -41,10 +41,14 @@ and at the last step; a non-finite entry raises :class:`SimulationBlowUp`.
 The steps are written for a low per-step cost at unchanged bits: new states
 are summed in place (addition and multiplication commute exactly), the
 unmerged second copies are gathered with ``take`` and written back as the
-items of a row view, row dots and norms add the columns in numpy's own
-order (``_row_dot``), and the kinetic pair keeps its states
-Fortran-ordered so that the step computes on one contiguous row per
-coordinate.  ``test_simulator_golden_hash`` pins the bits.
+items of a row view, and row dots and norms add the columns in numpy's own
+order (``_row_dot``, ``_sum_rows``).  The kinetic pair holds both copies in
+one Fortran-ordered (2n, 2d) state, the first copies above the second: its
+transpose is a C-ordered (2d, 2n) array with one contiguous row per
+coordinate, so the drift (one ``control_drift`` call), the dt update and
+the noise increment each run once for both copies, and every pass runs
+along the paths.  ``test_simulator_golden_hash`` pins the bits, at 2,000
+paths too.
 """
 
 from __future__ import annotations
@@ -104,8 +108,8 @@ class SimulationBlowUp(FloatingPointError):
 class SimConfig:
     """Time grid, seed and coupling knobs shared by all simulators.
 
-    ``n_smooth`` is the smoothing index of the kinetic coupling (math.inf
-    for the limiting construction).  ``merge_tol`` is the base merge
+    ``n_smooth`` is the smoothing index of the kinetic coupling, positive,
+    or math.inf for the limiting construction.  ``merge_tol`` is the base merge
     threshold, scaled by (1 + initial separation) per pair.
     """
 
@@ -116,12 +120,17 @@ class SimConfig:
     n_smooth: float = 1000
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("dt and t_final must be positive")
+        # written as "not inside" so that nan fails every check
+        if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
+            raise ValueError("dt and t_final must be positive and finite")
         if self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
-        if self.merge_tol <= 0:
-            raise ValueError("merge_tol must be positive")
+        if not self.t_final / self.dt < math.inf:
+            raise ValueError("t_final / dt, the number of steps, must be finite")
+        if not 0 < self.merge_tol < math.inf:
+            raise ValueError("merge_tol must be positive and finite")
+        if not self.n_smooth > 0:
+            raise ValueError("n_smooth must be positive or inf")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64): it keys a uint64 Philox stream")
 
@@ -358,6 +367,21 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s
 
 
+def _sum_rows(p: np.ndarray) -> np.ndarray:
+    """The sum over axis -2 of a (..., d, m) array, bit for bit as
+    ``_row_dot`` adds the d terms of a row: in order, then + 0.0, below
+    8 rows; numpy's row-major sum from 8 on."""
+    d = p.shape[-2]
+    if d >= 8:
+        return np.sum(np.ascontiguousarray(np.swapaxes(p, -1, -2)), axis=-1)
+    s = p[..., 0, :] + (p[..., 1, :] if d > 1 else 0.0)
+    for j in range(2, d):
+        s += p[..., j, :]
+    if d > 1:
+        s += 0.0
+    return s
+
+
 def _row_norm(a: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(a, axis=-1)`` of an (n, d) array, bit for bit."""
     return np.sqrt(_row_dot(a, a))
@@ -588,6 +612,11 @@ def harnack_pair(
     return _pair_trajectory(out, "harnack", girsanov_logw=logw)
 
 
+def _ramp(t: np.ndarray, trig: Callable, at_one: float) -> np.ndarray:
+    """trig(pi/2 clip(t, 0, 1)), and ``at_one`` exactly where t >= 1."""
+    return np.where(t >= 1.0, at_one, trig(0.5 * np.pi * np.clip(t, 0.0, 1.0)))
+
+
 def rc_profile(r: np.ndarray, dq_norm: np.ndarray, r0: float, n_smooth: float) -> np.ndarray:
     """Reflection weight rc_n(r, |dq|): 0 when r >= r0 + 1/n or |dq| <= 1/n,
     1 when r <= r0 and |dq| >= 2/n, quarter-cosine ramps in between."""
@@ -595,19 +624,16 @@ def rc_profile(r: np.ndarray, dq_norm: np.ndarray, r0: float, n_smooth: float) -
     dq_norm = np.asarray(dq_norm, dtype=float)
     if math.isinf(n_smooth):
         return np.where((r <= r0) & (dq_norm > 0.0), 1.0, 0.0)
-    # cos 0 = 1 and sin 0 = 0 exactly, so the trigonometric functions run
-    # only on the entries inside a ramp (nan ones included)
-    u = np.clip((r - r0) * n_smooth, 0.0, 1.0)
-    full = u >= 1.0
-    c = np.where(full, 0.0, 1.0)
-    ramp = ~(full | (u <= 0.0))
-    c[ramp] = np.cos(0.5 * np.pi * u[ramp])
-    w = np.clip(dq_norm * n_smooth - 1.0, 0.0, 1.0)
-    full = w >= 1.0
-    m = np.where(full, 1.0, 0.0)
-    ramp = ~(full | (w <= 0.0))
-    m[ramp] = np.sin(0.5 * np.pi * w[ramp])
-    return c * m
+    u = (r - r0) * n_smooth
+    w = dq_norm * n_smooth - 1.0
+    u_low, w_high = u <= 0.0, w >= 1.0
+    # off the ramps rc is 0 or 1 (cos 0 = 1 and sin 0 = 0 exactly); the
+    # few entries on a ramp, or nan, are evaluated in full
+    rc = np.where(u_low & w_high, 1.0, 0.0)
+    on_ramp = ~((u_low | (u >= 1.0)) & ((w <= 0.0) | w_high))
+    if on_ramp.any():
+        rc[on_ramp] = _ramp(u[on_ramp], np.cos, 0.0) * _ramp(w[on_ramp], np.sin, 1.0)
+    return rc
 
 
 def kinetic_coupled_pair(
@@ -634,56 +660,58 @@ def kinetic_coupled_pair(
         raise ValueError("kinetic coupling runs on the normalized (gamma = 1) system")
     if not model.admissible:
         raise ValueError("model fails the admissibility condition 19 L2 <= min(1, k)")
-    if not math.isinf(cfg.n_smooth) and cfg.n_smooth <= 0:
-        raise ValueError("n_smooth must be positive")
-    d = model.d
-    theta, r0 = params.theta, params.r0
-    # Fortran-ordered states: their transposes, on which the step computes,
-    # are C-ordered (2d, n_paths) arrays with one contiguous row per
-    # coordinate, and row norms and dots accumulate over d such rows
-    z = np.asfortranarray(_as_batch(z0, n_paths, 2 * d))
-    zp = np.asfortranarray(_as_batch(z0_prime, n_paths, 2 * d))
+    d, n = model.d, n_paths
+    theta, r0, n_smooth, dt = params.theta, params.r0, cfg.n_smooth, cfg.dt
+    sq2, sqdt = math.sqrt(2.0), math.sqrt(dt)
+    # one Fortran-ordered (2n, 2d) state, the first copies in rows [0, n) and
+    # the second copies in rows [n, 2n): its transpose, on which the step
+    # computes, is a C-ordered (2d, 2n) array with one contiguous row per
+    # coordinate, so the drift, the dt update and the noise increment each
+    # run once for both copies
+    state = np.empty((2 * n, 2 * d), order="F")
+    state[:n] = _as_batch(z0, n, 2 * d)
+    state[n:] = _as_batch(z0_prime, n, 2 * d)
 
-    def weights(zt, zpt):
-        delta = zt - zpt
-        dx = delta[:d]
-        dq = dx + delta[d:]
-        dqn = _row_norm(dq.T)
-        r = theta * _row_norm(dx.T) + dqn
-        return rc_profile(r, dqn, r0, cfg.n_smooth), _unit_or_e1(dq.T, dqn).T
+    def weights(st):
+        """rc and the unit q-separation e, (d, n), of the transposed state."""
+        delta = st[:, :n] - st[:, n:]
+        delta[d:] += delta[:d]          # rows dx, then dq = dx + dv
+        dxn, dqn = np.sqrt(_sum_rows((delta * delta).reshape(2, d, n)))
+        e = np.zeros((d, n))
+        e[0] = 1.0
+        np.divide(delta[d:], dqn, out=e, where=dqn > 0.0)
+        return rc_profile(theta * dxn + dqn, dqn, r0, n_smooth), e
 
-    def advanced(z_):
-        """(z + control_drift(z) dt).T as a C-ordered (2d, n_paths) array."""
-        return z_.T + (model.control_drift(z_) * cfg.dt).T
-
-    def noise(k, channel):
-        dB = noise_normals(cfg.seed, k, channel, (n_paths, d))
-        dB *= sqdt
-        return np.ascontiguousarray(dB.T)
-
-    sq2, sqdt = math.sqrt(2.0), math.sqrt(cfg.dt)
     # the weights of the state the next step starts from; the rc of each
     # recorded state is kept, as the rc that the step after it mixes with
-    rc, e = weights(z.T, zp.T)
+    rc, e = weights(state.T)
     recorded, rcs = set(_record_index(cfg.n_steps, record_every).tolist()), [rc]
+    # the velocity increments of both copies, (d, 2n), and the second noise
+    inc, dBpp = np.empty((d, 2 * n)), np.empty((d, n))
+    dB, inc_p = inc[:, :n], inc[:, n:]
 
     def step(k, z, zp, active):
-        nonlocal rc, e
-        sc = np.sqrt(np.clip(1.0 - rc * rc, 0.0, 1.0))
-        dB, dBpp = noise(k, CH_MAIN), noise(k, CH_AUX)
+        nonlocal state, rc, e
+        sc = np.sqrt(1.0 - rc * rc)     # rc lies in [0, 1], and so does 1 - rc^2
+        np.multiply(noise_normals(cfg.seed, k, CH_MAIN, (n, d)).T, sqdt, out=dB)
+        np.multiply(noise_normals(cfg.seed, k, CH_AUX, (n, d)).T, sqdt, out=dBpp)
         dB_rc = rc * dB + sc * dBpp
         dB_sc = sc * dB - rc * dBpp
-        refl = dB_rc - 2.0 * e * _row_dot(e.T, dB_rc.T)
-        zt = advanced(z)
-        zt[d:] += sq2 * dB
-        zpt = advanced(zp)
-        zpt[d:] += sq2 * (rc * refl + sc * dB_sc)
-        rc, e = weights(zt, zpt)
+        refl = dB_rc - 2.0 * e * _sum_rows(e * dB_rc)
+        np.multiply(rc, refl, out=inc_p)
+        np.add(inc_p, sc * dB_sc, out=inc_p)
+        np.multiply(inc, sq2, out=inc)
+        new = model.control_drift(state)
+        new *= dt
+        new += state
+        new.T[d:] += inc
+        state = new
+        rc, e = weights(new.T)
         if k + 1 in recorded:
             rcs.append(rc)
-        return zt.T, zpt.T, None
+        return new[:n], new[n:], None
 
-    out = _integrate(cfg, step, z, zp, record_every=record_every)
+    out = _integrate(cfg, step, state[:n], state[n:], record_every=record_every)
     return _pair_trajectory(out, "kinetic", rc=np.array(rcs))
 
 

@@ -109,6 +109,23 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "config error: w1_synchronous: need n_paths >= 1000" in err
 
 
+@pytest.mark.parametrize("sim", [
+    {"t_final": math.inf}, {"dt": math.nan}, {"merge_tol": math.nan}, {"n_smooth": -5},
+])
+def test_non_finite_sim_values_exit_2_with_no_report(tmp_path, capsys, sim):
+    """A sim value that SimConfig rejects is a config error before any run."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {
+        "scenario": "ou",
+        "sim": {"dt": 0.01, "t_final": 0.5, "seed": 3, **sim},
+        "estimators": {"w1_synchronous": {"n_paths": 1000}},
+        "out_dir": str(out),
+    })
+    assert main(["verify", "--config", cfg]) == 2
+    assert not out.exists()
+    assert "config error: bad sim config" in capsys.readouterr().err
+
+
 def test_verify_dry_run_validates_only(tmp_path, capsys):
     cfg = _write(tmp_path, {
         "scenario": "ou",

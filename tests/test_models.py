@@ -338,3 +338,34 @@ def test_bump_equals_gather_reference_bit_for_bit():
         assert got.shape == got_prime.shape == np.shape(x)
         assert got.tobytes() == _bump_by_gather(x).tobytes()
         assert got_prime.tobytes() == _bump_by_gather(x, prime=True).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 300), gamma=st.sampled_from([1.0, 0.7, 2.5]),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_control_drift_is_the_concatenated_formula_bit_for_bit(d, n, gamma, seed, scale):
+    """control_drift gives the bits of concatenate([v, -gamma v - x @ K.T + g])
+    on C- and Fortran-ordered batches, in the input's memory order, and one
+    call on two stacked batches gives the bits of one call on each."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    k = a @ a.T + d * np.eye(d)
+    model = KineticModel(d=d, gamma=gamma, grad_potential=lambda x: x @ k.T + 0.05 * np.tanh(x),
+                         k_matrix=k, forcing=lambda x, v: 0.03 * np.sin(x - v))
+
+    def formula(z):
+        x, v = z[..., :d], z[..., d:]
+        acc = -gamma * v - x @ model.k_matrix.T + model.residual_g(x, v)
+        return np.concatenate([v, acc], axis=-1)
+
+    z, zp = scale * rng.normal(size=(2, n, 2 * d))
+    for order in "CF":
+        for batch in (z, zp):
+            batch = np.asarray(batch, order=order)
+            got = model.control_drift(batch)
+            assert got.tobytes(order="A") == np.asarray(formula(batch), order=order).tobytes(order="A")
+            assert got.flags[f"{order}_CONTIGUOUS"]
+    stacked = model.control_drift(np.asfortranarray(np.concatenate([z, zp])))
+    halves = np.concatenate([model.control_drift(np.asfortranarray(b)) for b in (z, zp)])
+    assert stacked.tobytes() == halves.tobytes()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nesslsi.metric import metric_constants
 from nesslsi.models import EllipticModel, KineticModel, make_scenario, normalize_kinetic
 from nesslsi.simulate import (
     SdeSystem,
@@ -152,6 +153,20 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=2.0, t_final=1.0, seed=0)
     assert SimConfig(dt=1e-3, t_final=1.0, seed=0).n_steps == 1000
+    assert SimConfig(dt=1e-3, t_final=1.0, seed=0, n_smooth=math.inf).n_smooth == math.inf
+
+
+@pytest.mark.parametrize("bad", [
+    {"dt": math.nan}, {"dt": math.inf}, {"dt": -math.inf},
+    {"t_final": math.nan}, {"t_final": math.inf},
+    {"dt": 1e-300, "t_final": 1e10},
+    {"merge_tol": math.nan}, {"merge_tol": math.inf}, {"merge_tol": 0.0},
+    {"n_smooth": math.nan}, {"n_smooth": -5}, {"n_smooth": 0}, {"n_smooth": -math.inf},
+])
+def test_sim_config_rejects_non_finite_and_non_positive_values(bad):
+    """Each bad value is a ValueError at construction, before any step."""
+    with pytest.raises(ValueError):
+        SimConfig(**{"dt": 0.1, "t_final": 1.0, "seed": 0, **bad})
 
 
 def test_driftless_noiseless_path_is_constant():
@@ -399,6 +414,26 @@ def test_kinetic_pair_rc_is_that_of_recorded_states(kinetic_bench, record_every)
     assert traj.rc.max() > 0.0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_kinetic_pair_path_is_independent_of_ensemble_size(d):
+    """With a non-diagonal K, a path's bits do not depend on how many other
+    paths run beside it, a single path included."""
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d))
+    k = a @ a.T / d + np.eye(d)
+    model = KineticModel(d=d, gamma=1.0, grad_potential=lambda s: s @ k.T, k_matrix=k,
+                         forcing=lambda s, v: 0.03 * np.sin(s - v), radius=1.0,
+                         lip_inner=0.03, lip_outer=0.03)
+    params = metric_constants(k, model.lip_inner, model.lip_outer, model.radius)
+    cfg = SimConfig(dt=0.05, t_final=2.0, seed=4, n_smooth=1000)
+    z0, zp0 = rng.normal(size=(2, 2 * d))
+    # the step reads no metric table, so none is built for this K
+    runs = [kinetic_coupled_pair(model, None, params, z0, zp0, cfg, n) for n in (1, 2, 5)]
+    for traj in runs[1:]:
+        for field in ("z", "z_prime", "rc"):
+            assert getattr(traj, field)[:, :1].tobytes() == getattr(runs[0], field).tobytes()
+
+
 def test_kinetic_pair_marginal_moments_match_independent_run(kinetic_bench):
     """The reassembled Brownian motion is again a Brownian motion, so the
     second copy's marginal law equals that of a plain simulation."""
@@ -461,8 +496,9 @@ class _Poison:
 
 
 _DT = 0.0625
-# copies or accumulators each simulator can poison; the pair simulators
-# evaluate the first copy's field before the second's in every step
+# copies or accumulators each simulator can poison; the elliptic pair
+# simulators evaluate the first copy's field before the second's in every
+# step, the kinetic pair both copies in one call on the stacked state
 _TARGETS = {
     "em_path": ("x",),
     "synchronous_pair": ("x", "y"),
@@ -481,8 +517,10 @@ def _poisoned_run(simulator, target, k, path, value, n_paths, cfg, params, table
     at = per_step * k + (target == "y")
     x0, y0 = np.ones(1), -np.ones(1)
     if simulator == "kinetic_coupled_pair":
-        # the model's identity check makes call 0
-        residual = _Poison(lambda x, v: np.zeros_like(v), at + 1, path, value)
+        # call k + 1 is step k (the model's identity check makes call 0); its
+        # rows are the first copies, then the second copies from n_paths on
+        row = path + n_paths * (target == "y")
+        residual = _Poison(lambda x, v: np.zeros_like(v), k + 1, row, value)
         model = KineticModel(d=1, gamma=1.0, grad_potential=lambda x: x,
                              k_matrix=np.eye(1), residual=residual, radius=1.0)
         z0, zp0 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
@@ -578,7 +616,7 @@ def _golden_runs():
     Each run returns the arrays (or floats) whose bytes the golden test hashes.
     """
     from nesslsi.estimators import elliptic_fk_system, feynman_kac_h, kinetic_fk_system
-    from nesslsi.metric import build_metric, metric_constants
+    from nesslsi.metric import build_metric
     from nesslsi.models import _bump, derive_elliptic_fields
     from nesslsi.simulate import CH_AUX, CH_MAIN
 
