@@ -42,8 +42,8 @@ The steps are written for a low per-step cost at unchanged bits: new states
 are summed in place (addition and multiplication commute exactly), the
 unmerged second copies are gathered with ``take`` and written back as the
 items of a row view, and row dots and norms add the columns in numpy's own
-order (``_row_dot``, ``_sum_rows``).  The kinetic pair holds both copies in
-one Fortran-ordered (2n, 2d) state, the first copies above the second: its
+order (``_sum_rows``).  The kinetic pair holds both copies in one
+Fortran-ordered (2n, 2d) state, the first copies above the second: its
 transpose is a C-ordered (2d, 2n) array with one contiguous row per
 coordinate, so the drift (one ``control_drift`` call), the dt update and
 the noise increment each run once for both copies, and every pass runs
@@ -353,33 +353,23 @@ def _add_noise(x: np.ndarray, noise: np.ndarray, nd: int) -> np.ndarray:
     return x
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.sum(a * b, axis=-1)`` of two (n, d) arrays, bit for bit, summed
-    column by column.  Below 8 columns numpy adds a row's terms in order,
-    starting from +0.0 (so the sum is never -0.0: hence the final + 0.0);
-    from 8 columns on it sums pairwise, and the row-major sum is kept."""
-    if a.shape[1] >= 8:
-        return np.sum(np.ascontiguousarray(a * b), axis=-1)
-    s = a[:, 0] * b[:, 0]
-    for j in range(1, a.shape[1]):
-        s += a[:, j] * b[:, j]
-    s += 0.0
-    return s
-
-
 def _sum_rows(p: np.ndarray) -> np.ndarray:
-    """The sum over axis -2 of a (..., d, m) array, bit for bit as
-    ``_row_dot`` adds the d terms of a row: in order, then + 0.0, below
-    8 rows; numpy's row-major sum from 8 on."""
+    """The sum over axis -2 of a (..., d, m) array, bit for bit as numpy's
+    row reduction adds each length-d column: below 8 terms in order,
+    starting from +0.0 (so a sum is never -0.0); from 8 terms on pairwise,
+    over the contiguous copy."""
     d = p.shape[-2]
     if d >= 8:
         return np.sum(np.ascontiguousarray(np.swapaxes(p, -1, -2)), axis=-1)
-    s = p[..., 0, :] + (p[..., 1, :] if d > 1 else 0.0)
-    for j in range(2, d):
+    s = p[..., 0, :] + 0.0
+    for j in range(1, d):
         s += p[..., j, :]
-    if d > 1:
-        s += 0.0
     return s
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.sum(a * b, axis=-1)`` of two (n, d) arrays, bit for bit."""
+    return _sum_rows((a * b).T)
 
 
 def _row_norm(a: np.ndarray) -> np.ndarray:
@@ -663,11 +653,8 @@ def kinetic_coupled_pair(
     d, n = model.d, n_paths
     theta, r0, n_smooth, dt = params.theta, params.r0, cfg.n_smooth, cfg.dt
     sq2, sqdt = math.sqrt(2.0), math.sqrt(dt)
-    # one Fortran-ordered (2n, 2d) state, the first copies in rows [0, n) and
-    # the second copies in rows [n, 2n): its transpose, on which the step
-    # computes, is a C-ordered (2d, 2n) array with one contiguous row per
-    # coordinate, so the drift, the dt update and the noise increment each
-    # run once for both copies
+    # both copies in one Fortran-ordered state, the first copies in rows
+    # [0, n); the step computes on its transpose (see the module docstring)
     state = np.empty((2 * n, 2 * d), order="F")
     state[:n] = _as_batch(z0, n, 2 * d)
     state[n:] = _as_batch(z0_prime, n, 2 * d)
@@ -677,9 +664,7 @@ def kinetic_coupled_pair(
         delta = st[:, :n] - st[:, n:]
         delta[d:] += delta[:d]          # rows dx, then dq = dx + dv
         dxn, dqn = np.sqrt(_sum_rows((delta * delta).reshape(2, d, n)))
-        e = np.zeros((d, n))
-        e[0] = 1.0
-        np.divide(delta[d:], dqn, out=e, where=dqn > 0.0)
+        e = _unit_or_e1(delta[d:].T, dqn).T
         return rc_profile(theta * dxn + dqn, dqn, r0, n_smooth), e
 
     # the weights of the state the next step starts from; the rc of each
