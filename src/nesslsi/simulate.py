@@ -676,6 +676,7 @@ def kinetic_coupled_pair(
     dB, inc_p = inc[:, :n], inc[:, n:]
 
     def step(k, z, zp, active):
+        # z and zp are the two halves of ``state``, which the step advances
         nonlocal state, rc, e
         sc = np.sqrt(1.0 - rc * rc)     # rc lies in [0, 1], and so does 1 - rc^2
         np.multiply(noise_normals(cfg.seed, k, CH_MAIN, (n, d)).T, sqdt, out=dB)

@@ -88,10 +88,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     }, name="constants_typo.json")
     assert main(["verify", "--config", cfg]) == 2
     assert not (tmp_path / "out").exists()
-    # blocks that must be JSON objects, and an estimator argument it rejects
+    # blocks that must be JSON objects, an estimator argument it rejects, and
+    # sim values that SimConfig rejects (Infinity and NaN parse as JSON here)
     base = {"scenario": "ou", "estimators": {"one_sided": {"n_pairs": 64}},
             "out_dir": str(tmp_path / "out")}
+    sim = {"dt": 0.01, "t_final": 0.5, "seed": 3}
     for i, patch in enumerate([
+        {"sim": {**sim, "t_final": math.inf}},
+        {"sim": {**sim, "dt": math.nan}},
+        {"sim": {**sim, "merge_tol": math.nan}},
+        {"sim": {**sim, "n_smooth": -5}},
         {"constants": 5},
         {"model": [1]},
         {"sim": 3},
@@ -107,23 +113,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         assert not (tmp_path / "out").exists(), patch
     err = capsys.readouterr().err
     assert "config error: w1_synchronous: need n_paths >= 1000" in err
-
-
-@pytest.mark.parametrize("sim", [
-    {"t_final": math.inf}, {"dt": math.nan}, {"merge_tol": math.nan}, {"n_smooth": -5},
-])
-def test_non_finite_sim_values_exit_2_with_no_report(tmp_path, capsys, sim):
-    """A sim value that SimConfig rejects is a config error before any run."""
-    out = tmp_path / "out"
-    cfg = _write(tmp_path, {
-        "scenario": "ou",
-        "sim": {"dt": 0.01, "t_final": 0.5, "seed": 3, **sim},
-        "estimators": {"w1_synchronous": {"n_paths": 1000}},
-        "out_dir": str(out),
-    })
-    assert main(["verify", "--config", cfg]) == 2
-    assert not out.exists()
-    assert "config error: bad sim config" in capsys.readouterr().err
+    assert "config error: bad sim config: dt and t_final must be positive and finite" in err
 
 
 def test_verify_dry_run_validates_only(tmp_path, capsys):
