@@ -175,17 +175,19 @@ def w1_contraction(
     if n_paths < 1000:
         raise ValueError("need n_paths >= 1000")
     record_every = max(cfg.n_steps // 100, 1)
+    # the time loop records the mean separation; the states are not kept
     if kind == "synchronous":
-        traj = synchronous_pair(model, x0, y0, cfg, n_paths, record_every)
+        traj = synchronous_pair(model, x0, y0, cfg, n_paths, record_every, keep_states=False)
     elif kind == "reflection":
-        traj = reflection_pair(model, x0, y0, cfg, n_paths, record_every)
+        traj = reflection_pair(model, x0, y0, cfg, n_paths, record_every, keep_states=False)
     elif kind == "kinetic":
         if table is None or params is None:
             raise ValueError("kinetic contraction needs the metric table and params")
-        traj = kinetic_coupled_pair(model, table, params, x0, y0, cfg, n_paths, record_every)
+        traj = kinetic_coupled_pair(model, table, params, x0, y0, cfg, n_paths, record_every,
+                                    keep_states=False)
     else:
         raise ValueError(f"unknown coupling kind {kind!r}")
-    mean_dist = traj.separation.mean(axis=1)
+    mean_dist = traj.mean_separation
     positive = mean_dist > 0
     if positive.sum() < 3:
         raise EstimatorDiverged("fewer than 3 time points with positive mean separation")
@@ -231,9 +233,10 @@ def coalescence_probability(
     # grid is the one reflection_pair would record at about 200 times
     traj = reflection_pair(model, x0, y0, cfg, n_paths, cfg.n_steps)
     times = _record_index(cfg.n_steps, max(cfg.n_steps // 200, 1)) * cfg.dt
-    merge_t = np.where(np.isnan(traj.merge_time), np.inf, traj.merge_time)
-    alive = times[:, None] < merge_t[None, :]
-    survival = alive.mean(axis=1)
+    # the fraction of merge times above t, from the sorted merge times: the
+    # integer counts over n are the bits that a boolean (time, path) mean gives
+    merge_t = np.sort(np.where(np.isnan(traj.merge_time), np.inf, traj.merge_time))
+    survival = (n_paths - np.searchsorted(merge_t, times, side="right")) / n_paths
 
     # fit only where decay has started: an all-alive prefix carries no
     # information about the c e^{-kappa t}/t shape

@@ -38,6 +38,13 @@ its per-path accumulators (the Girsanov int e . dB, the Feynman-Kac
 int phi ds).  Both copies and every accumulator are checked every 16 steps
 and at the last step; a non-finite entry raises :class:`SimulationBlowUp`.
 
+At each record time the loop stores the states and, for a pair, the path
+mean of |x - y| (``PairTrajectory.mean_separation``, through ``_row_norm``,
+bit for bit the norm of the records).  The W1 estimator reads only that
+mean, so it calls the couplings with ``keep_states=False``: the state
+buffers (and the kinetic rc) then keep only the first and the last record,
+and memory no longer grows with paths x records.
+
 The steps are written for a low per-step cost at unchanged bits: new states
 are summed in place (addition and multiplication commute exactly), the
 unmerged second copies are gathered with ``take`` and written back as the
@@ -214,6 +221,12 @@ class Trajectory:
 class PairTrajectory:
     """Two coupled discretized paths with coupling-mode trace.
 
+    ``mean_separation`` is the path mean of |z - z'| at every record time,
+    computed in the time loop; it equals ``separation.mean(axis=1)`` of the
+    full records bit for bit.  A coupling called with ``keep_states=False``
+    keeps only the first and the last record in ``z``, ``z_prime`` and
+    ``rc`` (so ``z[0]`` and ``z[-1]`` keep their meaning), while ``times``
+    and ``mean_separation`` cover every record time.
     ``rc``/``sc`` are the reflection/synchronous mixing weights where the
     coupling records them (rc = 1 pure reflection, 0 pure synchronous;
     sc = sqrt(1 - rc^2)).
@@ -223,10 +236,11 @@ class PairTrajectory:
     """
 
     times: np.ndarray                      # (n_rec,)
-    z: np.ndarray                          # (n_rec, n_paths, dim)
-    z_prime: np.ndarray                    # (n_rec, n_paths, dim)
+    z: np.ndarray                          # (n_rec, n_paths, dim), or (2, ...)
+    z_prime: np.ndarray                    # (n_rec, n_paths, dim), or (2, ...)
     merge_time: np.ndarray                 # (n_paths,)
-    rc: np.ndarray | None = None           # (n_rec, n_paths)
+    mean_separation: np.ndarray            # (n_rec,)
+    rc: np.ndarray | None = None           # (n_rec, n_paths), or (2, n_paths)
     girsanov_logw: np.ndarray | None = None
     mode: str = ""
 
@@ -281,6 +295,7 @@ def _integrate(
     record_every: int = 1,
     tol: np.ndarray | None = None,
     accumulators: tuple[np.ndarray, ...] = (),
+    keep_states: bool = True,
 ):
     """The time loop shared by every simulator.
 
@@ -290,15 +305,21 @@ def _integrate(
     that ``hit`` merge at t_{k+1}, their second copy set to the first;
     ``advance`` keeps every merged second copy equal to its first copy.
     ``accumulators`` are per-path arrays that ``advance`` updates in place.
-    Returns ``(times, xs, ys, merge_time)``.
+    A pair records the path mean of |x - y| at every record time; with
+    ``keep_states`` False its state buffers hold only the first and the
+    last record.  Returns ``(times, xs, ys, merge_time, mean_separation)``,
+    the last None without y.
     """
     n_steps = cfg.n_steps if n_steps is None else n_steps
     rec = _record_index(n_steps, record_every)
-    xs = np.empty((rec.size,) + x.shape)
-    ys = None if y is None else np.empty_like(xs)
-    xs[0] = x
+    last = rec.size - 1
+    xs = np.empty((rec.size if keep_states else min(rec.size, 2),) + x.shape)
+    ys = sep = None
     if y is not None:
+        ys, sep = np.empty_like(xs), np.empty(rec.size)
+        sep[0] = _row_norm(x - y).mean()
         ys[0] = y
+    xs[0] = x
     merge_time = np.full(x.shape[0], np.nan)
     active = None
     if tol is not None:
@@ -320,18 +341,22 @@ def _integrate(
         if step % 16 == 0 or step == n_steps - 1:
             _check_finite(step + 1, cfg.dt, [s for s in (x, y, *accumulators) if s is not None])
         if step + 1 == next_rec:
-            xs[rec_pos] = x
             if y is not None:
-                ys[rec_pos] = y
+                sep[rec_pos] = _row_norm(x - y).mean()
+            if keep_states or rec_pos == last:
+                slot = rec_pos if keep_states else -1
+                xs[slot] = x
+                if y is not None:
+                    ys[slot] = y
             rec_pos += 1
             next_rec = schedule[rec_pos] if rec_pos < rec.size else -1
-    return rec * cfg.dt, xs, ys, merge_time
+    return rec * cfg.dt, xs, ys, merge_time, sep
 
 
 def _pair_trajectory(out, mode: str, **extra) -> PairTrajectory:
-    times, xs, ys, merge_time = out
+    times, xs, ys, merge_time, sep = out
     return PairTrajectory(times=times, z=xs, z_prime=ys, merge_time=merge_time,
-                          mode=mode, **extra)
+                          mean_separation=sep, mode=mode, **extra)
 
 
 def _drift_step(drift: Callable, x: np.ndarray, dt: float) -> np.ndarray:
@@ -441,8 +466,8 @@ def em_path(
     """
     sys_ = system_of(model)
     x = _as_batch(x0, n_paths, sys_.dim)
-    times, xs, _, _ = _integrate(cfg, _em_step(sys_, cfg, channel), x,
-                                 record_every=record_every)
+    times, xs, *_ = _integrate(cfg, _em_step(sys_, cfg, channel), x,
+                               record_every=record_every)
     return Trajectory(times=times, states=xs)
 
 
@@ -451,10 +476,12 @@ def _merge_tol_effective(cfg: SimConfig, x0: np.ndarray, y0: np.ndarray) -> np.n
 
 
 def synchronous_pair(
-    model, x0, y0, cfg: SimConfig, n_paths: int = 1, record_every: int = 1
+    model, x0, y0, cfg: SimConfig, n_paths: int = 1, record_every: int = 1, *,
+    keep_states: bool = True,
 ) -> PairTrajectory:
     """Both copies driven by identical noise increments; a merged pair steps
-    only its first copy."""
+    only its first copy.  ``keep_states=False`` records only the first and
+    last states (see :class:`PairTrajectory`)."""
     sys_ = system_of(model)
     x = _as_batch(x0, n_paths, sys_.dim)
     y = _as_batch(y0, n_paths, sys_.dim)
@@ -476,7 +503,8 @@ def synchronous_pair(
         hit[idx] = _row_norm(rows(x_new) - y_act) <= rows(tol)
         return x_new, _with_rows(x_new, idx, y_act), hit
 
-    out = _integrate(cfg, step, x, y, record_every=record_every, tol=tol)
+    out = _integrate(cfg, step, x, y, record_every=record_every, tol=tol,
+                     keep_states=keep_states)
     return _pair_trajectory(out, "synchronous")
 
 
@@ -523,7 +551,8 @@ def _radial_step(model: EllipticModel, cfg: SimConfig, cross_tol: np.ndarray,
 
 
 def reflection_pair(
-    model: EllipticModel, x0, y0, cfg: SimConfig, n_paths: int = 1, record_every: int = 1
+    model: EllipticModel, x0, y0, cfg: SimConfig, n_paths: int = 1, record_every: int = 1,
+    *, keep_states: bool = True,
 ) -> PairTrajectory:
     """Reflection coupling for an elliptic diffusion.
 
@@ -531,6 +560,7 @@ def reflection_pair(
     separation; the pair is declared merged when the signed radial
     coordinate of the updated difference crosses zero or the separation
     falls below the merge tolerance, and is advanced synchronously after.
+    ``keep_states=False`` records only the first and last states and rc.
     """
     if not isinstance(model, EllipticModel):
         raise TypeError("reflection coupling requires an elliptic model")
@@ -546,8 +576,10 @@ def reflection_pair(
         return y_new
 
     out = _integrate(cfg, _radial_step(model, cfg, tol, reflected), x, y,
-                     record_every=record_every, tol=tol)
+                     record_every=record_every, tol=tol, keep_states=keep_states)
     times, merge_time = out[0], out[3]
+    if not keep_states:
+        times = times[[0, -1]]
     # a pair reflects until it merges and is synchronous from then on
     return _pair_trajectory(out, "reflection",
                             rc=np.where(merge_time <= times[:, None], 0.0, 1.0))
@@ -635,6 +667,8 @@ def kinetic_coupled_pair(
     cfg: SimConfig,
     n_paths: int = 1,
     record_every: int = 1,
+    *,
+    keep_states: bool = True,
 ) -> PairTrajectory:
     """Reflection-synchronous coupling for a unit-friction kinetic diffusion
     (see :func:`~nesslsi.models.normalize_kinetic`).
@@ -644,7 +678,8 @@ def kinetic_coupled_pair(
     independent B'' through the mixing weights rc/sc evaluated on
     (r, |dq|) = (theta |dx| + |dq|, |dx + dv|), reflecting across the unit
     q-separation.  The reassembled B' is again a Brownian motion, so the
-    marginal law of the second copy is exact.
+    marginal law of the second copy is exact.  ``keep_states=False`` records
+    only the first and last states and rc.
     """
     if model.gamma != 1.0:
         raise ValueError("kinetic coupling runs on the normalized (gamma = 1) system")
@@ -670,7 +705,8 @@ def kinetic_coupled_pair(
     # the weights of the state the next step starts from; the rc of each
     # recorded state is kept, as the rc that the step after it mixes with
     rc, e = weights(state.T)
-    recorded, rcs = set(_record_index(cfg.n_steps, record_every).tolist()), [rc]
+    recorded = _record_index(cfg.n_steps, record_every)
+    recorded, rcs = set((recorded if keep_states else recorded[-1:]).tolist()), [rc]
     # the velocity increments of both copies, (d, 2n), and the second noise
     inc, dBpp = np.empty((d, 2 * n)), np.empty((d, n))
     dB, inc_p = inc[:, :n], inc[:, n:]
@@ -697,7 +733,8 @@ def kinetic_coupled_pair(
             rcs.append(rc)
         return new[:n], new[n:], None
 
-    out = _integrate(cfg, step, state[:n], state[n:], record_every=record_every)
+    out = _integrate(cfg, step, state[:n], state[n:], record_every=record_every,
+                     keep_states=keep_states)
     return _pair_trajectory(out, "kinetic", rc=np.array(rcs))
 
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nesslsi import SimConfig, make_scenario
 from nesslsi.models import EllipticModel, arctan_kernel, derive_elliptic_fields, normalize_kinetic
+from nesslsi.simulate import reflection_pair
 from nesslsi.estimators import (
     UnstableLogError,
     WeightOverflowError,
@@ -89,6 +91,25 @@ def test_w1_reflection_ou_rate_and_oracle_match(ou1):
     assert np.max(np.abs(rep.mean_dist - mean_oracle)) <= se
 
 
+def test_w1_memory_does_not_grow_with_the_records(ou1):
+    """w1_contraction keeps the mean separation per record time, not the
+    coupled states: its traced peak at 20,000 paths is the same at 101 and
+    200 records, far below the 16 MB that one copy's full record takes."""
+    peaks = []
+    for dt, records in ((1e-2, 101), (1.0 / 199, 200)):
+        cfg = SimConfig(dt=dt, t_final=1.0, seed=8)
+        tracemalloc.start()
+        try:
+            rep = w1_contraction("reflection", ou1, np.array([0.5]), np.array([-0.5]),
+                                 cfg, 20_000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.times.size == records
+    assert max(peaks) < 8e6
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_w1_requires_budget(ou1):
     cfg = SimConfig(dt=1e-2, t_final=1.0, seed=3)
     with pytest.raises(ValueError, match="n_paths"):
@@ -127,6 +148,11 @@ def test_coalescence_trivial_and_structure(ou1):
     assert np.all(same.survival == 0.0)
     rep = coalescence_probability(ou1, np.array([0.5]), np.array([-0.5]), cfg, 4000)
     assert np.all(np.diff(rep.survival) <= 0.0)      # merged pairs stay merged
+    # the survival is the boolean (time, path) mean, bit for bit
+    merge_t = reflection_pair(ou1, np.array([0.5]), np.array([-0.5]), cfg, 4000,
+                              cfg.n_steps).merge_time
+    alive = rep.times[:, None] < np.where(np.isnan(merge_t), np.inf, merge_t)
+    assert rep.survival.tobytes() == alive.mean(axis=1).tobytes()
     assert rep.envelope_ok
 
 

@@ -425,6 +425,53 @@ def test_kinetic_pair_path_is_independent_of_ensemble_size(d):
             assert getattr(traj, field)[:, :1].tobytes() == getattr(runs[0], field).tobytes()
 
 
+def _mean_separation_runs(coupling, keep_states):
+    """One small run of each coupling whose mean separation moves over many
+    records: OU pairs that partly merge, kinetic pairs near the ramps."""
+    cfg = SimConfig(dt=0.02, t_final=1.0, seed=31, n_smooth=20)
+    rng = np.random.default_rng(31)
+    if coupling.startswith("kinetic"):
+        d = int(coupling[-1])
+        model = make_scenario("kinetic-quadratic", {"d": d, "gamma": 1.0, "radius": 1.0})
+        params = metric_constants(model.k_matrix, model.lip_inner, model.lip_outer,
+                                  model.radius)
+        z0, zp0 = rng.normal(size=(2, 300, 2 * d))
+        # the step reads no metric table, so none is built
+        return kinetic_coupled_pair(model, None, params, z0, zp0, cfg, 300, 3,
+                                    keep_states=keep_states)
+    ou = make_scenario("ou", {"d": 3})
+    x0, y0 = rng.normal(size=(2, 300, 3))
+    fn = synchronous_pair if coupling == "synchronous" else reflection_pair
+    return fn(ou, x0, y0, cfg, 300, 3, keep_states=keep_states)
+
+
+@pytest.mark.parametrize("coupling", ["synchronous", "reflection", "kinetic2", "kinetic4"])
+def test_mean_separation_is_the_recorded_norm_mean_and_needs_no_states(coupling):
+    """The time loop's mean |z - z'| is the path mean of numpy's norm over
+    the full records bit for bit (kinetic4 has 2d = 8 columns, which numpy
+    sums pairwise), and a run that keeps only the first and last states
+    records the same statistic, merge times and end states."""
+    full = _mean_separation_runs(coupling, True)
+    assert full.times.size == 18 and full.z.shape[0] == 18
+    want = np.linalg.norm(full.z - full.z_prime, axis=-1).mean(axis=1)
+    assert full.mean_separation.tobytes() == want.tobytes()
+    assert np.unique(full.mean_separation).size == full.times.size
+
+    ends = _mean_separation_runs(coupling, False)
+    assert ends.z.shape[0] == ends.z_prime.shape[0] == 2
+    assert ends.times.tobytes() == full.times.tobytes()
+    assert ends.mean_separation.tobytes() == full.mean_separation.tobytes()
+    assert ends.merge_time.tobytes() == full.merge_time.tobytes()
+    for field in ("z", "z_prime", "rc"):
+        kept, every = getattr(ends, field), getattr(full, field)
+        if every is None:
+            assert kept is None
+        else:
+            assert kept.tobytes() == every[[0, -1]].tobytes()
+    if coupling == "reflection":
+        assert 0 < ends.merged.sum() < 300
+
+
 def test_kinetic_pair_marginal_moments_match_independent_run(kinetic_bench):
     """The reassembled Brownian motion is again a Brownian motion, so the
     second copy's marginal law equals that of a plain simulation."""
