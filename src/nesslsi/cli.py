@@ -211,10 +211,32 @@ def _model_from(cfg: dict):
         raise ConfigError(str(exc)) from exc
 
 
+def _finite(obj, pointer: str, replaced: dict):
+    """obj with every non-finite float replaced by None; ``replaced`` maps
+    the JSON Pointer (RFC 6901) of each replaced value to its repr."""
+    if isinstance(obj, dict):
+        return {k: _finite(v, f"{pointer}/{str(k).replace('~', '~0').replace('/', '~1')}",
+                           replaced) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v, f"{pointer}/{i}", replaced) for i, v in enumerate(obj)]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        replaced[pointer] = repr(float(obj))
+        return None
+    return obj
+
+
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
+    """Write payload as strict JSON: a non-finite number (which JSON cannot
+    hold) is written as null, and the top-level ``non_finite`` key, present
+    only then, maps the path of each to the value it had."""
+    replaced = {}
+    payload = _finite(payload, "", replaced)
+    if replaced:
+        payload["non_finite"] = replaced
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float,
+                               allow_nan=False))
     return path
 
 

@@ -614,7 +614,7 @@ _GOLDEN_REPORTS = {
 }
 
 GOLDEN_REPORTS = {
-    "verify": "09ee7bf4c51067b160943a0dcae95afe3e0a67c693a9ebace7688df452f841f9",
+    "verify": "89e55a7f2752382010b84ea9bda5ae9139b4858e902310281fc88f9c763322da",
     "sweep": "d5fa76aeec22e7b71580a4c091ed7f94126f96573e196c373658b9a4f71ac56c",
     "sweep_rejected": "449e65aa1246220d12b19357f0030dbffe36ac65c37988a563b310a28a02d33e",
 }
@@ -636,4 +636,40 @@ def test_report_golden_hash(tmp_path, capsys, case):
     del report["config"]["out_dir"]
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[case]
+    capsys.readouterr()
+
+
+# Configs whose reports hold numbers that JSON cannot: one_sided on ou has
+# no pair inside R = 0 (max ratio -inf); the hypercontractivity bound
+# saturates to inf at rho = 0.01, and so do A and C_LS.
+_SATURATING = {"L": 1.0, "rho": 0.01, "R": 1.0, "sigma": 1.0, "d": 1}
+_NON_FINITE_REPORTS = {
+    "verify": (_GOLDEN_REPORTS["verify"], {"/records/0/max_ratio_inside": "-inf"}),
+    "sweep": ({"estimators": {"hyper_bound": _SATURATING},
+               "sweep": {"estimator": "hyper_bound", "parameter": "t", "values": [1e3, 1e4]}},
+              {"/records/0/bound": "inf", "/records/1/bound": "inf"}),
+    "constants": ({"constants": {**_SATURATING, "sup_inner": 1.0}},
+                  {"/constants/A": "inf", "/constants/C_LS": "inf",
+                   "/hypercontractivity/bound_at_2t0": "inf"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NON_FINITE_REPORTS))
+def test_reports_are_strict_json(tmp_path, capsys, command):
+    """A report parses under a strict JSON reader: a non-finite number is
+    written as null, and the top-level ``non_finite`` key maps its path to
+    the value it had."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    config, replaced = _NON_FINITE_REPORTS[command]
+    out = tmp_path / "out"
+    main([command, "--config", _write(tmp_path, {**config, "out_dir": str(out)})])
+    report = json.loads((out / f"{command}_report.json").read_text(), parse_constant=reject)
+    assert report["non_finite"] == replaced
+    for pointer in replaced:
+        node = report
+        for key in pointer.split("/")[1:]:
+            node = node[int(key) if isinstance(node, list) else key]
+        assert node is None
     capsys.readouterr()
