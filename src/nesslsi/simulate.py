@@ -705,8 +705,8 @@ def kinetic_coupled_pair(
     # the weights of the state the next step starts from; the rc of each
     # recorded state is kept, as the rc that the step after it mixes with
     rc, e = weights(state.T)
-    recorded = _record_index(cfg.n_steps, record_every)
-    recorded, rcs = set((recorded if keep_states else recorded[-1:]).tolist()), [rc]
+    rec = _record_index(cfg.n_steps, record_every)
+    recorded, rcs = set((rec if keep_states else rec[-1:]).tolist()), [rc]
     # the velocity increments of both copies, (d, 2n), and the second noise
     inc, dBpp = np.empty((d, 2 * n)), np.empty((d, n))
     dB, inc_p = inc[:, :n], inc[:, n:]
