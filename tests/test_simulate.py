@@ -427,7 +427,7 @@ def test_kinetic_pair_path_is_independent_of_ensemble_size(d):
 
 def _mean_separation_runs(coupling, keep_states):
     """One small run of each coupling whose mean separation moves over many
-    records: OU pairs that partly merge, kinetic pairs near the ramps."""
+    records: OU pairs that partly merge, kinetic pairs from random starts."""
     cfg = SimConfig(dt=0.02, t_final=1.0, seed=31, n_smooth=20)
     rng = np.random.default_rng(31)
     if coupling.startswith("kinetic"):
