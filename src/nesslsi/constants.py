@@ -75,7 +75,7 @@ def harnack_factor(k_w: float, sigma: float, alpha: float, t: float, dist: float
 
     ``k_w`` is the one-sided constant in (x-y).(b(x)-b(y)) <= k_w |x-y|;
     under the structural assumption with inner bound L and radius R one can
-    take k_w = L*R.
+    take k_w = L*R.  An exponent of 709 or more, where exp overflows, gives inf.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
@@ -83,7 +83,8 @@ def harnack_factor(k_w: float, sigma: float, alpha: float, t: float, dist: float
         raise ValueError("t must be positive")
     if k_w < 0 or dist < 0:
         raise ValueError("k_w and dist must be nonnegative")
-    return math.exp(alpha / (2.0 * sigma**2 * (alpha - 1.0)) * (k_w**2 * t + dist**2 / t))
+    exponent = alpha / (2.0 * sigma**2 * (alpha - 1.0)) * (k_w**2 * t + dist**2 / t)
+    return math.exp(exponent) if exponent < 709.0 else math.inf
 
 
 def hypercontractivity_t0(sigma: float, rho: float, alpha: float, beta: float) -> float:

@@ -12,6 +12,7 @@ density is available; replica means provide the standard errors.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, asdict, replace
 from typing import Callable, Sequence
@@ -154,6 +155,55 @@ class W1Report:
     rho0: float | None = None
 
 
+class _CoupledRuns:
+    """The summary of the last completed coupled run, and the runs going on.
+
+    ``last`` is ``(key, model, times, mean_separation, merge_time)``; the
+    model is held so that its id in the key cannot be reused.  ``running``
+    maps the key of each run in progress to an event set when it ends."""
+
+    lock = threading.Lock()
+    last: tuple | None = None
+    running: dict = {}
+
+
+def _coupled_run(kind: str, model, x0, y0, cfg: SimConfig, n_paths: int):
+    """``(times, mean_separation, merge_time)`` of a synchronous or
+    reflection pair recorded at ``w1_contraction``'s schedule, without
+    states.
+
+    ``w1_contraction`` reads the first two, ``coalescence_probability`` the
+    third (merge times do not depend on the record schedule), so equal
+    requests share one run: the summary of the last completed run is kept,
+    keyed by kind, model (by identity), the bytes of x0 and y0, cfg and
+    n_paths, and an equal request made while it runs waits for it.  A run
+    that raises is not kept, and each request waiting for it runs again.
+    The coupling is looked up in this module at each call."""
+    x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    key = (kind, id(model), x0.shape, x0.tobytes(), y0.shape, y0.tobytes(), cfg, n_paths)
+    runs = _CoupledRuns
+    while True:
+        with runs.lock:
+            if runs.last is not None and runs.last[0] == key:
+                return tuple(a.copy() for a in runs.last[2:])
+            done = runs.running.get(key)
+            if done is None:
+                done = runs.running[key] = threading.Event()
+                break
+        done.wait()
+    try:
+        pair = synchronous_pair if kind == "synchronous" else reflection_pair
+        traj = pair(model, x0, y0, cfg, n_paths, max(cfg.n_steps // 100, 1), keep_states=False)
+        out = traj.times, traj.mean_separation, traj.merge_time
+        with runs.lock:
+            runs.last = (key, model, *out)
+        return tuple(a.copy() for a in out)
+    finally:
+        with runs.lock:
+            del runs.running[key]
+        done.set()
+
+
 def w1_contraction(
     kind: str,
     model,
@@ -170,38 +220,36 @@ def w1_contraction(
     ``kind`` is "synchronous", "reflection" or "kinetic".  For the kinetic
     coupling the empirical means are additionally checked against the
     envelope (1 + slack) * C1 exp(-kappa t) * rho(z0, z0') built from the
-    metric table.
+    metric table.  A synchronous or reflection run is shared with an equal
+    ``coalescence_probability`` call (see ``_coupled_run``).
     """
     if n_paths < 1000:
         raise ValueError("need n_paths >= 1000")
-    record_every = max(cfg.n_steps // 100, 1)
     # the time loop records the mean separation; the states are not kept
-    if kind == "synchronous":
-        traj = synchronous_pair(model, x0, y0, cfg, n_paths, record_every, keep_states=False)
-    elif kind == "reflection":
-        traj = reflection_pair(model, x0, y0, cfg, n_paths, record_every, keep_states=False)
+    if kind in ("synchronous", "reflection"):
+        times, mean_dist, _ = _coupled_run(kind, model, x0, y0, cfg, n_paths)
     elif kind == "kinetic":
         if table is None or params is None:
             raise ValueError("kinetic contraction needs the metric table and params")
-        traj = kinetic_coupled_pair(model, table, params, x0, y0, cfg, n_paths, record_every,
-                                    keep_states=False)
+        traj = kinetic_coupled_pair(model, table, params, x0, y0, cfg, n_paths,
+                                    max(cfg.n_steps // 100, 1), keep_states=False)
+        times, mean_dist = traj.times, traj.mean_separation
     else:
         raise ValueError(f"unknown coupling kind {kind!r}")
-    mean_dist = traj.mean_separation
     positive = mean_dist > 0
     if positive.sum() < 3:
         raise EstimatorDiverged("fewer than 3 time points with positive mean separation")
-    fit = fit_exponential_rate(traj.times[positive], mean_dist[positive])
+    fit = fit_exponential_rate(times[positive], mean_dist[positive])
 
     envelope_ok = rho0 = None
     if kind == "kinetic":
         z0b = traj.z[0]
         zp0b = traj.z_prime[0]
         rho0 = float(np.mean(rho_star(table, params, z0b, zp0b)))
-        envelope = table.c1 * np.exp(-table.kappa * traj.times) * rho0
+        envelope = table.c1 * np.exp(-table.kappa * times) * rho0
         envelope_ok = bool(np.all(mean_dist <= (1.0 + slack) * envelope))
     return W1Report(
-        times=traj.times, mean_dist=mean_dist, fit=fit, envelope_ok=envelope_ok, rho0=rho0,
+        times=times, mean_dist=mean_dist, fit=fit, envelope_ok=envelope_ok, rho0=rho0,
     )
 
 
@@ -222,6 +270,7 @@ def coalescence_probability(
     n_paths: int,
 ) -> CoalescenceReport:
     """Non-merge fraction P[X_t != Y_t] of the reflection coupling over time.
+    The reflection run is shared with an equal ``w1_contraction`` call.
 
     Also fits c exp(-kappa t)/t to the positive part of the curve and
     reports the factor by which c must be inflated for the fitted shape to
@@ -229,13 +278,14 @@ def coalescence_probability(
     """
     if n_paths < 1000:
         raise ValueError("need n_paths >= 1000")
-    # only merge times are read, so record the end points alone; the survival
-    # grid is the one reflection_pair would record at about 200 times
-    traj = reflection_pair(model, x0, y0, cfg, n_paths, cfg.n_steps)
+    # only merge times are read, so the run is the one an equal w1_contraction
+    # makes; the survival grid is the one reflection_pair would record at
+    # about 200 times
+    merge_time = _coupled_run("reflection", model, x0, y0, cfg, n_paths)[2]
     times = _record_index(cfg.n_steps, max(cfg.n_steps // 200, 1)) * cfg.dt
     # the fraction of merge times above t, from the sorted merge times: the
     # integer counts over n are the bits that a boolean (time, path) mean gives
-    merge_t = np.sort(np.where(np.isnan(traj.merge_time), np.inf, traj.merge_time))
+    merge_t = np.sort(np.where(np.isnan(merge_time), np.inf, merge_time))
     survival = (n_paths - np.searchsorted(merge_t, times, side="right")) / n_paths
 
     # fit only where decay has started: an all-alive prefix carries no

@@ -22,7 +22,9 @@ Couplings:
   of the added drift is recorded,
 * kinetic reflection-synchronous: mixed noise rc/sc with rc^2 + sc^2 = 1,
   reflecting across the q = x + v separation direction, with smoothing
-  index n controlling the thresholds.
+  index n controlling the thresholds.  Where rc is 0 or 1 the second
+  Brownian motion B'' drops out, so its channel is drawn only on the steps
+  that start with an rc strictly inside (0, 1), or nan.
 
 Merging in discrete time is declared either when the separation falls below
 merge_tol * (1 + initial separation), or when the signed radial coordinate
@@ -642,10 +644,19 @@ def _ramp(t: np.ndarray, trig: Callable, at_one: float) -> np.ndarray:
 def rc_profile(r: np.ndarray, dq_norm: np.ndarray, r0: float, n_smooth: float) -> np.ndarray:
     """Reflection weight rc_n(r, |dq|): 0 when r >= r0 + 1/n or |dq| <= 1/n,
     1 when r <= r0 and |dq| >= 2/n, quarter-cosine ramps in between."""
+    return _rc_mixed(r, dq_norm, r0, n_smooth)[0]
+
+
+_NO_ENTRIES = np.empty(0, dtype=np.intp)
+
+
+def _rc_mixed(r, dq_norm, r0: float, n_smooth: float) -> tuple[np.ndarray, np.ndarray]:
+    """``rc_profile`` and the indices of its entries that lie strictly
+    inside (0, 1) or are nan: the pairs whose coupling mixes in B''."""
     r = np.asarray(r, dtype=float)
     dq_norm = np.asarray(dq_norm, dtype=float)
     if math.isinf(n_smooth):
-        return np.where((r <= r0) & (dq_norm > 0.0), 1.0, 0.0)
+        return np.where((r <= r0) & (dq_norm > 0.0), 1.0, 0.0), _NO_ENTRIES
     u = (r - r0) * n_smooth
     w = dq_norm * n_smooth - 1.0
     u_low, w_high = u <= 0.0, w >= 1.0
@@ -653,9 +664,11 @@ def rc_profile(r: np.ndarray, dq_norm: np.ndarray, r0: float, n_smooth: float) -
     # few entries on a ramp, or nan, are evaluated in full
     rc = np.where(u_low & w_high, 1.0, 0.0)
     on_ramp = ~((u_low | (u >= 1.0)) & ((w <= 0.0) | w_high))
-    if on_ramp.any():
-        rc[on_ramp] = _ramp(u[on_ramp], np.cos, 0.0) * _ramp(w[on_ramp], np.sin, 1.0)
-    return rc
+    if not on_ramp.any():
+        return rc, _NO_ENTRIES
+    ramp = _ramp(u[on_ramp], np.cos, 0.0) * _ramp(w[on_ramp], np.sin, 1.0)
+    rc[on_ramp] = ramp
+    return rc, np.flatnonzero(on_ramp)[~((ramp == 0.0) | (ramp == 1.0))]
 
 
 def kinetic_coupled_pair(
@@ -678,8 +691,10 @@ def kinetic_coupled_pair(
     independent B'' through the mixing weights rc/sc evaluated on
     (r, |dq|) = (theta |dx| + |dq|, |dx + dv|), reflecting across the unit
     q-separation.  The reassembled B' is again a Brownian motion, so the
-    marginal law of the second copy is exact.  ``keep_states=False`` records
-    only the first and last states and rc.
+    marginal law of the second copy is exact.  B'' is drawn (for every path)
+    only on the steps where it enters, those that start with some rc
+    strictly inside (0, 1) or nan, and mixed in only on those pairs.
+    ``keep_states=False`` records only the first and last states and rc.
     """
     if model.gamma != 1.0:
         raise ValueError("kinetic coupling runs on the normalized (gamma = 1) system")
@@ -695,40 +710,50 @@ def kinetic_coupled_pair(
     state[n:] = _as_batch(z0_prime, n, 2 * d)
 
     def weights(st):
-        """rc and the unit q-separation e, (d, n), of the transposed state."""
+        """rc, the indices of its mixed entries and the unit q-separation e,
+        (d, n), of the transposed state."""
         delta = st[:, :n] - st[:, n:]
         delta[d:] += delta[:d]          # rows dx, then dq = dx + dv
         dxn, dqn = np.sqrt(_sum_rows((delta * delta).reshape(2, d, n)))
         e = _unit_or_e1(delta[d:].T, dqn).T
-        return rc_profile(theta * dxn + dqn, dqn, r0, n_smooth), e
+        return *_rc_mixed(theta * dxn + dqn, dqn, r0, n_smooth), e
 
     # the weights of the state the next step starts from; the rc of each
     # recorded state is kept, as the rc that the step after it mixes with
-    rc, e = weights(state.T)
+    rc, mixed, e = weights(state.T)
     rec = _record_index(cfg.n_steps, record_every)
     recorded, rcs = set((rec if keep_states else rec[-1:]).tolist()), [rc]
-    # the velocity increments of both copies, (d, 2n), and the second noise
-    inc, dBpp = np.empty((d, 2 * n)), np.empty((d, n))
+    # the velocity increments of both copies, (d, 2n)
+    inc = np.empty((d, 2 * n))
     dB, inc_p = inc[:, :n], inc[:, n:]
 
     def step(k, z, zp, active):
         # z and zp are the two halves of ``state``, which the step advances
-        nonlocal state, rc, e
-        sc = np.sqrt(1.0 - rc * rc)     # rc lies in [0, 1], and so does 1 - rc^2
+        nonlocal state, rc, mixed, e
         np.multiply(noise_normals(cfg.seed, k, CH_MAIN, (n, d)).T, sqdt, out=dB)
-        np.multiply(noise_normals(cfg.seed, k, CH_AUX, (n, d)).T, sqdt, out=dBpp)
-        dB_rc = rc * dB + sc * dBpp
-        dB_sc = sc * dB - rc * dBpp
-        refl = dB_rc - 2.0 * e * _sum_rows(e * dB_rc)
-        np.multiply(rc, refl, out=inc_p)
-        np.add(inc_p, sc * dB_sc, out=inc_p)
+        # where rc is 0 or 1 (sc = 1 or 0) the second increment is dB or its
+        # reflection dB - 2 e (e . dB), and B'' drops out bit for bit
+        refl = dB - 2.0 * e * _sum_rows(e * dB)
+        np.copyto(inc_p, dB)
+        np.copyto(inc_p, refl, where=rc == 1.0)
+        if mixed.size:
+            # the few mixed pairs take the full rc/sc mixing with B''; it is
+            # drawn for every path, so that each path keeps its stream
+            dBpp = noise_normals(cfg.seed, k, CH_AUX, (n, d)).T.take(mixed, axis=1)
+            dBpp *= sqdt
+            rc_m, e_m, dB_m = rc[mixed], e.take(mixed, axis=1), dB.take(mixed, axis=1)
+            sc_m = np.sqrt(1.0 - rc_m * rc_m)   # rc in [0, 1], and so is 1 - rc^2
+            dB_rc = rc_m * dB_m + sc_m * dBpp
+            dB_sc = sc_m * dB_m - rc_m * dBpp
+            refl_m = dB_rc - 2.0 * e_m * _sum_rows(e_m * dB_rc)
+            inc_p[:, mixed] = rc_m * refl_m + sc_m * dB_sc
         np.multiply(inc, sq2, out=inc)
         new = model.control_drift(state)
         new *= dt
         new += state
         new.T[d:] += inc
         state = new
-        rc, e = weights(new.T)
+        rc, mixed, e = weights(new.T)
         if k + 1 in recorded:
             rcs.append(rc)
         return new[:n], new[n:], None

@@ -417,6 +417,83 @@ def test_dump_trajectories_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+_SHARED_RUN = {
+    "scenario": "ou",
+    "sim": {"dt": 1e-2, "t_final": 1.0, "seed": 23},
+    "estimators": {"w1_reflection": {"n_paths": 1000, "pair": {"x0": [0.5], "y0": [-0.5]}},
+                   "coalescence": {"n_paths": 1000, "pair": {"x0": [0.5], "y0": [-0.5]}}},
+}
+
+
+def _count_reflection_runs(monkeypatch, calls, effect=None):
+    """Count the reflection runs of the estimators; ``effect`` runs first."""
+    from nesslsi import estimators
+
+    def counting(*args, _run=estimators.reflection_pair, **kwargs):
+        calls.append(args[4])
+        if effect is not None:
+            effect()
+        return _run(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "reflection_pair", counting)
+
+
+def _verify_records(tmp_path, sub, config, threads=1, code=0):
+    out = tmp_path / sub
+    cfg = _write(tmp_path, {**config, "out_dir": str(out)}, name=f"{sub}.json")
+    assert main(["verify", "--config", cfg, "--threads", str(threads)]) == code
+    return json.loads((out / "verify_report.json").read_text())["records"]
+
+
+def test_verify_w1_reflection_and_coalescence_share_one_run(tmp_path, capsys, monkeypatch):
+    """Equal w1_reflection and coalescence blocks run the reflection pair
+    once, and write the records that runs of each alone write."""
+    calls = []
+    _count_reflection_runs(monkeypatch, calls)
+    shared = _verify_records(tmp_path, "shared", _SHARED_RUN)
+    assert calls == [1000]
+    apart = [_verify_records(tmp_path, name, {**_SHARED_RUN, "estimators": {name: block}})[0]
+             for name, block in _SHARED_RUN["estimators"].items()]
+    assert shared == apart
+    assert len(calls) == 3
+    capsys.readouterr()
+
+
+def test_verify_shared_run_is_made_once_on_two_threads(tmp_path, capsys, monkeypatch):
+    """On two threads the second request waits for the run the first one
+    makes (which is slowed down so that they overlap) instead of making its
+    own, and the report is the one of a single thread."""
+    import time
+
+    calls = []
+    _count_reflection_runs(monkeypatch, calls, effect=lambda: time.sleep(0.3))
+    one = _verify_records(tmp_path, "t1", _SHARED_RUN, threads=1)
+    two = _verify_records(tmp_path, "t2", _SHARED_RUN, threads=2)
+    assert calls == [1000, 1000]
+    assert one == two
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blow_up_in_a_shared_run_aborts_both_records(tmp_path, capsys, monkeypatch, threads):
+    """A blow-up in the shared run marks both records aborted (exit 3); the
+    failure is not kept, so the second request runs again."""
+    from nesslsi.simulate import SimulationBlowUp
+
+    def blow_up():
+        raise SimulationBlowUp(7, 0.07, 1)
+
+    calls = []
+    _count_reflection_runs(monkeypatch, calls, effect=blow_up)
+    records = _verify_records(tmp_path, "out", _SHARED_RUN, threads=threads, code=3)
+    assert [(r["estimator"], r["aborted"], r["error"]) for r in records] == [
+        (name, True, "SimulationBlowUp: non-finite state at step 7 (t=0.07) in 1 path(s)")
+        for name in ("w1_reflection", "coalescence")
+    ]
+    assert calls == [1000, 1000]
+    capsys.readouterr()
+
+
 def test_seed_override_changes_results(tmp_path, capsys):
     def run(seed, sub):
         out = tmp_path / sub
@@ -636,6 +713,25 @@ def test_report_golden_hash(tmp_path, capsys, case):
     del report["config"]["out_dir"]
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[case]
+    capsys.readouterr()
+
+
+def test_constants_with_overflowing_harnack_factors_writes_a_report(tmp_path, capsys):
+    """A Harnack factor whose exponent overflows exp is inf, as the
+    hypercontractivity bound is: the report is written, strict JSON, with a
+    null and a ``non_finite`` entry for each factor (k_w = L R = 250)."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {"constants": {"L": 5, "rho": 0.01, "R": 50, "sigma": 0.01, "d": 1,
+                                          "sup_inner": 10},
+                            "out_dir": str(out)})
+    assert main(["constants", "--config", cfg]) == 0
+    report = json.loads((out / "constants_report.json").read_text(), parse_constant=reject)
+    factors = {f"/harnack_factors/{i}/factor": "inf" for i in range(6)}
+    assert factors.items() <= report["non_finite"].items()
+    assert all(row["factor"] is None for row in report["harnack_factors"])
     capsys.readouterr()
 
 

@@ -26,6 +26,14 @@ def test_harnack_factor_trivial_cases():
     assert abs(harnack_factor(1.0, 1.0, 2.0, 2.0, 1.0) - math.exp(2.5)) < 1e-12
 
 
+def test_harnack_factor_saturates_where_exp_overflows():
+    """At k_w = sigma = 1, alpha = 2 and dist = 0 the exponent is t: exp(t)
+    below 709, inf from 709 on, as the hypercontractivity bound saturates."""
+    assert harnack_factor(1.0, 1.0, 2.0, 708.0, 0.0) == math.exp(708.0)
+    assert harnack_factor(1.0, 1.0, 2.0, 709.0, 0.0) == math.inf
+    assert harnack_factor(250.0, 0.01, 2.0, 0.5, 1.0) == math.inf
+
+
 def test_harnack_factor_validates_inputs():
     with pytest.raises(ValueError):
         harnack_factor(0.0, 1.0, 1.0, 1.0, 1.0)

@@ -156,6 +156,87 @@ def test_coalescence_trivial_and_structure(ou1):
     assert rep.envelope_ok
 
 
+def test_w1_and_coalescence_share_one_run_per_input(monkeypatch):
+    """Equal requests of w1_contraction and coalescence_probability share one
+    reflection run, with the bits of runs made apart; a different pair,
+    n_paths, seed or model (another object) runs again."""
+    from nesslsi import estimators
+
+    calls = []
+
+    def counting(*args, _run=estimators.reflection_pair, **kwargs):
+        calls.append(args[4])
+        return _run(*args, **kwargs)
+
+    cfg = SimConfig(dt=1e-2, t_final=1.0, seed=31)
+    x0, y0 = np.array([0.5]), np.array([-0.5])
+    # apart: each on a model object of its own
+    want_w1 = w1_contraction("reflection", make_scenario("ou", {"d": 1}), x0, y0, cfg, 1000)
+    want_co = coalescence_probability(make_scenario("ou", {"d": 1}), x0, y0, cfg, 1000)
+    monkeypatch.setattr(estimators, "reflection_pair", counting)
+    ou = make_scenario("ou", {"d": 1})
+    co = coalescence_probability(ou, [0.5], [-0.5], cfg, 1000)
+    w1 = w1_contraction("reflection", ou, x0, y0, cfg, 1000)
+    assert calls == [1000]
+    assert co.survival.tobytes() == want_co.survival.tobytes()
+    assert w1.mean_dist.tobytes() == want_w1.mean_dist.tobytes()
+    assert w1.fit == want_w1.fit
+    w1.mean_dist[:] = 0.0      # the caller's arrays are its own
+    assert coalescence_probability(ou, x0, y0, cfg, 1000).survival.tobytes() == \
+        want_co.survival.tobytes()
+    assert w1_contraction("reflection", ou, x0, y0, cfg, 1000).mean_dist.tobytes() == \
+        want_w1.mean_dist.tobytes()
+    assert calls == [1000]
+    for model, pair, n, run_cfg in (
+        (ou, (x0, np.array([-0.25])), 1000, cfg),
+        (ou, (x0, y0), 1001, cfg),
+        (ou, (x0, y0), 1000, SimConfig(dt=1e-2, t_final=1.0, seed=32)),
+        (make_scenario("ou", {"d": 1}), (x0, y0), 1000, cfg),
+    ):
+        calls.clear()
+        coalescence_probability(model, *pair, run_cfg, n)
+        w1_contraction("reflection", model, *pair, run_cfg, n)
+        assert calls == [n]
+
+
+def test_shared_runs_under_thread_contention():
+    """Six threads, more than the cores, ask for two interleaved inputs many
+    times at a short switch interval: every answer has the bits of its own
+    input, and no run is left registered as running."""
+    import sys
+    import threading
+
+    from nesslsi import estimators
+
+    ou = make_scenario("ou", {"d": 1})
+    cfg = SimConfig(dt=5e-2, t_final=1.0, seed=33)
+    pairs = [(np.array([0.5]), np.array([-0.5])), (np.array([1.0]), np.array([0.0]))]
+    want = [coalescence_probability(make_scenario("ou", {"d": 1}), *p, cfg, 1000).survival
+            for p in pairs]
+    wrong = []
+
+    def ask(i):
+        for r in range(12):
+            j = (i + r) % 2
+            got = coalescence_probability(ou, *pairs[j], cfg, 1000).survival
+            if got.tobytes() != want[j].tobytes():
+                wrong.append((i, r))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert estimators._CoupledRuns.running == {}
+
+
 def test_coalescence_matches_first_hit_oracle(ou1):
     cfg = SimConfig(dt=1e-3, t_final=2.0, seed=6)
     n = 20_000

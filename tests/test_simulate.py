@@ -76,7 +76,9 @@ def test_noise_normals_equals_freshly_keyed_philox():
 def test_every_draw_goes_through_the_module_noise_normals(monkeypatch, kinetic_bench):
     """Each simulator looks ``noise_normals`` up in its module at every draw,
     so that a wrapper put there (a benchmark probe, a tracer) sees all
-    n_steps x channels draws."""
+    n_steps x channels draws.  The kinetic pair draws its second channel
+    only on the steps that start from an rc with an entry strictly inside
+    (0, 1), or nan: elsewhere B'' drops out."""
     from nesslsi import estimators, simulate
     from nesslsi.estimators import elliptic_fk_system, feynman_kac_h
 
@@ -98,14 +100,20 @@ def test_every_draw_goes_through_the_module_noise_normals(monkeypatch, kinetic_b
         "synchronous_pair": (lambda: synchronous_pair(ou, x0, y0, cfg, 3), (0,)),
         "reflection_pair": (lambda: reflection_pair(ou, x0, y0, cfg, 3), (0,)),
         "harnack_pair": (lambda: harnack_pair(ou, x0, y0, cfg, 0.5, None, 3), (0,)),
-        "kinetic_coupled_pair": (lambda: kinetic_coupled_pair(
-            normalize_kinetic(kin), table, params, z0, zp0, cfg, 3), (0, 1)),
         "feynman_kac_h": (lambda: feynman_kac_h(fk, x0, cfg.t_final, 3, cfg), (0,)),
     }
     for name, (run, channels) in runs.items():
         calls.clear()
         run()
         assert sorted(calls) == sorted(channels * cfg.n_steps), name
+
+    # wide ramps (n_smooth 5), so that some steps start on one and some do not
+    kin_cfg = replace(cfg, n_smooth=5)
+    calls.clear()
+    rc = kinetic_coupled_pair(normalize_kinetic(kin), table, params, z0, zp0, kin_cfg, 3).rc
+    mixed = [bool(np.any((row > 0.0) & (row < 1.0) | np.isnan(row))) for row in rc[:-1]]
+    assert 0 < sum(mixed) < kin_cfg.n_steps
+    assert sorted(calls) == sorted([0] * kin_cfg.n_steps + [1] * sum(mixed))
 
 
 def test_em_path_accepts_a_broadcastable_drift():
