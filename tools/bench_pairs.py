@@ -1,6 +1,6 @@
-"""Paired benchmark runs of two commits, written as ``BENCH_<pr>.json``.
+"""Paired benchmark runs of two commits, written as ``BENCH_<N>.json``.
 
-    python3 tools/bench_pairs.py --parent REV [--change REV] --pr N \\
+    python3 tools/bench_pairs.py --parent REV [--change REV] --number N \\
         [--pairs 10] [--seeds 1 2] [--workloads ou-battery kinetic-sweep fk-scan] \\
         [--seconds 38] [--traced METRIC ...] [--workdir DIR]
 
@@ -11,7 +11,7 @@ workload and seed, ``perfbench/run.py --trace 0`` of the two copies runs in
 ``--pairs`` pairs, the parent first in odd rounds and the change first in
 even ones, so that a drift of the host's speed falls on both sides alike.
 
-The output, ``BENCH_<pr>.json`` at the repository root, has per workload,
+The output, ``BENCH_<N>.json`` at the repository root, has per workload,
 seed and side the number of runs, the output hashes, the failed and
 attempted checks summed over the runs, and for each end-to-end metric the
 median, the quartiles (``statistics.quantiles(runs, n=4)``) and the per-run
@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="the commit measured against")
     parser.add_argument("--change", default="HEAD", help="the commit measured (default HEAD)")
-    parser.add_argument("--pr", required=True, help="N of the written BENCH_<N>.json")
+    parser.add_argument("--number", required=True, help="N of the written BENCH_<N>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
 
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.workdir))
-    out_path = ROOT / f"BENCH_{args.pr}.json"
+    out_path = ROOT / f"BENCH_{args.number}.json"
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
     bench = {
         "command": f"{command} --trace 0",
