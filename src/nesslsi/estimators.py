@@ -156,15 +156,12 @@ class W1Report:
 
 
 class _CoupledRuns:
-    """The summary of the last completed coupled run, and the runs going on.
-
-    ``last`` is ``(key, model, times, mean_separation, merge_time)``; the
-    model is held so that its id in the key cannot be reused.  ``running``
-    maps the key of each run in progress to an event set when it ends."""
+    """The summary of the last completed coupled run: ``last`` is
+    ``(key, model, times, mean_separation, merge_time)``; the model is held
+    so that its id in the key cannot be reused."""
 
     lock = threading.Lock()
     last: tuple | None = None
-    running: dict = {}
 
 
 def _coupled_run(kind: str, model, x0, y0, cfg: SimConfig, n_paths: int):
@@ -176,32 +173,21 @@ def _coupled_run(kind: str, model, x0, y0, cfg: SimConfig, n_paths: int):
     third (merge times do not depend on the record schedule), so equal
     requests share one run: the summary of the last completed run is kept,
     keyed by kind, model (by identity), the bytes of x0 and y0, cfg and
-    n_paths, and an equal request made while it runs waits for it.  A run
-    that raises is not kept, and each request waiting for it runs again.
-    The coupling is looked up in this module at each call."""
+    n_paths.  Equal requests made at the same time each run, with the same
+    bits; a run that raises is not kept.  The coupling is looked up in this
+    module at each call."""
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     key = (kind, id(model), x0.shape, x0.tobytes(), y0.shape, y0.tobytes(), cfg, n_paths)
-    runs = _CoupledRuns
-    while True:
-        with runs.lock:
-            if runs.last is not None and runs.last[0] == key:
-                return tuple(a.copy() for a in runs.last[2:])
-            done = runs.running.get(key)
-            if done is None:
-                done = runs.running[key] = threading.Event()
-                break
-        done.wait()
-    try:
-        pair = synchronous_pair if kind == "synchronous" else reflection_pair
-        traj = pair(model, x0, y0, cfg, n_paths, max(cfg.n_steps // 100, 1), keep_states=False)
-        out = traj.times, traj.mean_separation, traj.merge_time
-        with runs.lock:
-            runs.last = (key, model, *out)
-        return tuple(a.copy() for a in out)
-    finally:
-        with runs.lock:
-            del runs.running[key]
-        done.set()
+    with _CoupledRuns.lock:
+        last = _CoupledRuns.last
+    if last is not None and last[0] == key:
+        return tuple(a.copy() for a in last[2:])
+    pair = synchronous_pair if kind == "synchronous" else reflection_pair
+    traj = pair(model, x0, y0, cfg, n_paths, max(cfg.n_steps // 100, 1), keep_states=False)
+    out = traj.times, traj.mean_separation, traj.merge_time
+    with _CoupledRuns.lock:
+        _CoupledRuns.last = (key, model, *out)
+    return tuple(a.copy() for a in out)
 
 
 def w1_contraction(

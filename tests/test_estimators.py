@@ -199,44 +199,6 @@ def test_w1_and_coalescence_share_one_run_per_input(monkeypatch):
         assert calls == [n]
 
 
-def test_shared_runs_under_thread_contention():
-    """Six threads, more than the cores, ask for two interleaved inputs many
-    times at a short switch interval: every answer has the bits of its own
-    input, and no run is left registered as running."""
-    import sys
-    import threading
-
-    from nesslsi import estimators
-
-    ou = make_scenario("ou", {"d": 1})
-    cfg = SimConfig(dt=5e-2, t_final=1.0, seed=33)
-    pairs = [(np.array([0.5]), np.array([-0.5])), (np.array([1.0]), np.array([0.0]))]
-    want = [coalescence_probability(make_scenario("ou", {"d": 1}), *p, cfg, 1000).survival
-            for p in pairs]
-    wrong = []
-
-    def ask(i):
-        for r in range(12):
-            j = (i + r) % 2
-            got = coalescence_probability(ou, *pairs[j], cfg, 1000).survival
-            if got.tobytes() != want[j].tobytes():
-                wrong.append((i, r))
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=ask, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert estimators._CoupledRuns.running == {}
-
-
 def test_coalescence_matches_first_hit_oracle(ou1):
     cfg = SimConfig(dt=1e-3, t_final=2.0, seed=6)
     n = 20_000

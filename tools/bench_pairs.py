@@ -1,15 +1,15 @@
 """Paired benchmark runs of two commits, written as ``BENCH_<N>.json``.
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --number N \\
-        [--pairs 10] [--seeds 1 2] [--workloads ou-battery kinetic-sweep fk-scan] \\
-        [--seconds 38] [--traced METRIC ...] [--workdir DIR]
+        [--traced METRIC ...] [--workdir DIR]
 
 Both commits are exported with ``git archive`` into a scratch directory (a
 plain copy of the committed files: nothing is added to the repository's
 ``.git``, and an interrupted run leaves nothing to prune).  For each
-workload and seed, ``perfbench/run.py --trace 0`` of the two copies runs in
-``--pairs`` pairs, the parent first in odd rounds and the change first in
-even ones, so that a drift of the host's speed falls on both sides alike.
+workload (all three) and seed (1 and 2), ``perfbench/run.py --trace 0`` of
+the two copies runs for perfbench's documented 38 s in 10 pairs, the parent
+first in odd rounds and the change first in even ones, so that a drift of
+the host's speed falls on both sides alike.
 
 The output, ``BENCH_<N>.json`` at the repository root, has per workload,
 seed and side the number of runs, the output hashes, the failed and
@@ -37,6 +37,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 WORKLOADS = ("ou-battery", "kinetic-sweep", "fk-scan")
+SEEDS = (1, 2)
+PAIRS = 10
+SECONDS = 38
 
 
 def _git(*args: str) -> str:
@@ -56,11 +59,11 @@ def export(rev: str, dest: Path) -> None:
     tar_path.unlink()
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     """One ``perfbench/run.py`` run: its final JSON line plus the details
     (hashes, environment) of its ``result.json``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(int(trace))]
+            "--seconds", str(SECONDS), "--trace", str(int(trace))]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True).stdout
     final = json.loads(out.strip().splitlines()[-1])
     detail = json.loads((checkout / ".perfbench" / f"{workload}-s{seed}-t{int(trace)}"
@@ -106,10 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="the commit measured against")
     parser.add_argument("--change", default="HEAD", help="the commit measured (default HEAD)")
     parser.add_argument("--number", required=True, help="N of the written BENCH_<N>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=38.0, help="perfbench --seconds")
     parser.add_argument("--traced", nargs="*", default=[],
                         help="per-layer metrics to record from one traced run per side")
     parser.add_argument("--workdir", default=None, help="scratch directory (default: a temp dir)")
@@ -118,12 +117,12 @@ def main(argv: list[str] | None = None) -> int:
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.workdir))
     out_path = ROOT / f"BENCH_{args.number}.json"
-    command = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
+    command = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}"
     bench = {
         "command": f"{command} --trace 0",
         "pairing": ("parent and change run in pairs per workload and seed; the parent runs "
                     "first in odd rounds and the change in even rounds; "
-                    f"{args.pairs} pairs per workload and seed"),
+                    f"{PAIRS} pairs per workload and seed"),
         "parent": revs["parent"],
         "change": revs["change"],
         "fields": ("per side: number of runs, output hashes, failed and attempted checks "
@@ -138,12 +137,12 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: work / side for side in SIDES}
         for side in SIDES:
             export(revs[side], checkouts[side])
-        for workload in args.workloads:
-            for seed in args.seeds:
+        for workload in WORKLOADS:
+            for seed in SEEDS:
                 runs = {side: [] for side in SIDES}
-                for round_ in range(1, args.pairs + 1):
+                for round_ in range(1, PAIRS + 1):
                     for side in SIDES if round_ % 2 else SIDES[::-1]:
-                        run = run_bench(checkouts[side], workload, seed, args.seconds, False)
+                        run = run_bench(checkouts[side], workload, seed, False)
                         runs[side].append(run)
                         print(f"{workload} seed {seed} round {round_} {side}: wall_s "
                               f"{run['final']['metrics'].get('wall_s', {}).get('value')}",
@@ -162,11 +161,11 @@ def main(argv: list[str] | None = None) -> int:
                                "note": "one run per side, workload and seed; per-layer "
                                        "metrics of the traced processes (medians over its "
                                        "traced repeats)"}
-            for workload in args.workloads:
-                for seed in args.seeds:
+            for workload in WORKLOADS:
+                for seed in SEEDS:
                     entry = {}
                     for side in SIDES:
-                        metrics = run_bench(checkouts[side], workload, seed, args.seconds,
+                        metrics = run_bench(checkouts[side], workload, seed,
                                             True)["final"]["metrics"]
                         entry[side] = {m: metrics.get(m, {}).get("value") for m in args.traced}
                     bench["traced"][f"{workload} seed {seed}"] = entry
