@@ -225,17 +225,22 @@ def _finite(obj, pointer: str, replaced: dict):
     return obj
 
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
-    """Write payload as strict JSON: a non-finite number (which JSON cannot
-    hold) is written as null, and the top-level ``non_finite`` key, present
-    only then, maps the path of each to the value it had."""
+def _strict(payload: dict) -> dict:
+    """payload with every non-finite number (which JSON cannot hold) as
+    null, and the top-level ``non_finite`` key, present only then, mapping
+    the path of each to the value it had."""
     replaced = {}
     payload = _finite(payload, "", replaced)
     if replaced:
         payload["non_finite"] = replaced
+    return payload
+
+
+def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
+    """Write payload as strict JSON (see ``_strict``)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float,
+    path.write_text(json.dumps(_strict(payload), indent=2, sort_keys=True, default=float,
                                allow_nan=False))
     return path
 
@@ -321,7 +326,8 @@ def cmd_constants(cfg: dict, checked: dict, out_dir: Path) -> int:
             "c2": table.c2,
         }
     _write_json(out_dir, "constants_report.json", report)
-    print(json.dumps({k: report[k] for k in report if k != "config"}, indent=2, default=float))
+    print(json.dumps(_strict({k: report[k] for k in report if k != "config"}), indent=2,
+                     default=float, allow_nan=False))
     return EXIT_OK
 
 

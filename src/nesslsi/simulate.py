@@ -24,7 +24,9 @@ Couplings:
   reflecting across the q = x + v separation direction, with smoothing
   index n controlling the thresholds.  Where rc is 0 or 1 the second
   Brownian motion B'' drops out, so its channel is drawn only on the steps
-  that start with an rc strictly inside (0, 1), or nan.
+  that start with an rc strictly inside (0, 1), or nan.  A step that starts
+  with every pair at r >= r0 + 1/n, outside the reflection zone, is a plain
+  synchronous step: it builds no unit vector and evaluates no ramp.
 
 Merging in discrete time is declared either when the separation falls below
 merge_tol * (1 + initial separation), or when the signed radial coordinate
@@ -657,15 +659,21 @@ def _rc_mixed(r, dq_norm, r0: float, n_smooth: float) -> tuple[np.ndarray, np.nd
     dq_norm = np.asarray(dq_norm, dtype=float)
     if math.isinf(n_smooth):
         return np.where((r <= r0) & (dq_norm > 0.0), 1.0, 0.0), _NO_ENTRIES
-    u = (r - r0) * n_smooth
-    w = dq_norm * n_smooth - 1.0
-    u_low, w_high = u <= 0.0, w >= 1.0
+    # u = (r - r0) n and w = |dq| n - 1 in one buffer, compared once with
+    # each ramp end; a nan entry lies at neither end, so it is on a ramp
+    uw = np.empty((2,) + np.broadcast_shapes(r.shape, dq_norm.shape))
+    u, w = uw[0, ...], uw[1, ...]      # views, 0-d ones too
+    np.multiply(np.subtract(r, r0, out=u), n_smooth, out=u)
+    np.subtract(np.multiply(dq_norm, n_smooth, out=w), 1.0, out=w)
+    low, high = uw <= 0.0, uw >= 1.0
+    ends = low | high
     # off the ramps rc is 0 or 1 (cos 0 = 1 and sin 0 = 0 exactly); the
     # few entries on a ramp, or nan, are evaluated in full
-    rc = np.where(u_low & w_high, 1.0, 0.0)
-    on_ramp = ~((u_low | (u >= 1.0)) & ((w <= 0.0) | w_high))
-    if not on_ramp.any():
+    rc = np.where(low[0] & high[1], 1.0, 0.0)
+    off = ends[0] & ends[1]
+    if off.all():
         return rc, _NO_ENTRIES
+    on_ramp = ~off
     ramp = _ramp(u[on_ramp], np.cos, 0.0) * _ramp(w[on_ramp], np.sin, 1.0)
     rc[on_ramp] = ramp
     return rc, np.flatnonzero(on_ramp)[~((ramp == 0.0) | (ramp == 1.0))]
@@ -693,7 +701,9 @@ def kinetic_coupled_pair(
     q-separation.  The reassembled B' is again a Brownian motion, so the
     marginal law of the second copy is exact.  B'' is drawn (for every path)
     only on the steps where it enters, those that start with some rc
-    strictly inside (0, 1) or nan, and mixed in only on those pairs.
+    strictly inside (0, 1) or nan, and mixed in only on those pairs.  A step
+    that starts with every pair at r >= r0 + 1/n, where rc is 0, is
+    synchronous (dB' = dB) without computing rc or the unit vector.
     ``keep_states=False`` records only the first and last states and rc.
     """
     if model.gamma != 1.0:
@@ -709,14 +719,26 @@ def kinetic_coupled_pair(
     state[:n] = _as_batch(z0, n, 2 * d)
     state[n:] = _as_batch(z0_prime, n, 2 * d)
 
+    # rc is 0 on every pair with r >= r0 + 1/n: a step that starts with all
+    # of them there is synchronous, and needs neither e nor the ramps
+    no_rc = np.zeros(n)
+
     def weights(st):
         """rc, the indices of its mixed entries and the unit q-separation e,
-        (d, n), of the transposed state."""
+        (d, n), of the transposed state; e is None when rc is 0 throughout."""
         delta = st[:, :n] - st[:, n:]
         delta[d:] += delta[:d]          # rows dx, then dq = dx + dv
         dxn, dqn = np.sqrt(_sum_rows((delta * delta).reshape(2, d, n)))
-        e = _unit_or_e1(delta[d:].T, dqn).T
-        return *_rc_mixed(theta * dxn + dqn, dqn, r0, n_smooth), e
+        r = theta * dxn + dqn
+        # u = (r - r0) n is monotone in r, so u >= 1 on every pair when it is
+        # on the smallest r; a nan r fails the test
+        if (r.min() - r0) * n_smooth >= 1.0:
+            return no_rc, _NO_ENTRIES, None
+        if dqn.min() > 0.0:
+            e = delta[d:] / dqn
+        else:
+            e = _unit_or_e1(delta[d:].T, dqn).T
+        return *_rc_mixed(r, dqn, r0, n_smooth), e
 
     # the weights of the state the next step starts from; the rc of each
     # recorded state is kept, as the rc that the step after it mixes with
@@ -731,11 +753,16 @@ def kinetic_coupled_pair(
         # z and zp are the two halves of ``state``, which the step advances
         nonlocal state, rc, mixed, e
         np.multiply(noise_normals(cfg.seed, k, CH_MAIN, (n, d)).T, sqdt, out=dB)
-        # where rc is 0 or 1 (sc = 1 or 0) the second increment is dB or its
-        # reflection dB - 2 e (e . dB), and B'' drops out bit for bit
-        refl = dB - 2.0 * e * _sum_rows(e * dB)
-        np.copyto(inc_p, dB)
-        np.copyto(inc_p, refl, where=rc == 1.0)
+        if e is None:
+            np.copyto(inc_p, dB)
+        else:
+            # where rc is 0 or 1 (sc = 1 or 0) the second increment is dB or
+            # its reflection dB - 2 e (e . dB), and B'' drops out bit for bit
+            # (2 e s and e (2 s) round the same product; where rc < 1 the
+            # term is a zero, which leaves dB as it is unless dB is -0.0)
+            s2 = _sum_rows(e * dB)
+            s2 *= 2.0 * (rc == 1.0)
+            np.subtract(dB, e * s2, out=inc_p)
         if mixed.size:
             # the few mixed pairs take the full rc/sc mixing with B''; it is
             # drawn for every path, so that each path keeps its stream

@@ -738,9 +738,9 @@ _NON_FINITE_REPORTS = {
 
 @pytest.mark.parametrize("command", sorted(_NON_FINITE_REPORTS))
 def test_reports_are_strict_json(tmp_path, capsys, command):
-    """A report parses under a strict JSON reader: a non-finite number is
-    written as null, and the top-level ``non_finite`` key maps its path to
-    the value it had."""
+    """A report, and the copy that ``constants`` prints, parses under a
+    strict JSON reader: a non-finite number is written as null, and the
+    top-level ``non_finite`` key maps its path to the value it had."""
     def reject(token):
         raise ValueError(f"{token} is not JSON")
 
@@ -754,4 +754,8 @@ def test_reports_are_strict_json(tmp_path, capsys, command):
         for key in pointer.split("/")[1:]:
             node = node[int(key) if isinstance(node, list) else key]
         assert node is None
-    capsys.readouterr()
+    printed = capsys.readouterr().out
+    if command == "constants":
+        # the copy on standard output is the report without its config
+        report.pop("config")
+        assert json.loads(printed, parse_constant=reject) == report

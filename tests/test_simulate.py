@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nesslsi import simulate
 from nesslsi.metric import metric_constants
 from nesslsi.models import EllipticModel, KineticModel, make_scenario, normalize_kinetic
 from nesslsi.simulate import (
@@ -348,18 +349,66 @@ def test_rc_profile_boundary_cases():
     assert rc_profile(3.1, 0.3, r0, math.inf) == 0.0
 
 
-def test_rc_profile_equals_the_ramps_evaluated_on_every_entry():
-    """Evaluating cos and sin only inside the ramps changes no bit."""
-    r0, n = 2.0, 50.0
+def _rc_edges(r0: float, n: float):
+    """Strategies for r and |dq| that reach nan, inf, the ramp ends and the
+    threshold r0 + 1/n with one ulp either side."""
+    edge = r0 + 1.0 / n
+    r = st.sampled_from([np.nan, np.inf, -np.inf, r0, edge, np.nextafter(edge, -np.inf),
+                         np.nextafter(edge, np.inf)]) | st.floats(r0 - 2.0 / n, r0 + 2.0 / n)
+    dq = st.sampled_from([np.nan, np.inf, 0.0, 1.0 / n, 2.0 / n]) | st.floats(0.0, 3.0 / n)
+    return r, dq
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rc_profile_equals_the_ramps_evaluated_on_every_entry(data):
+    """Evaluating cos and sin only inside the ramps changes no bit, on nan
+    and inf entries and at the thresholds too."""
+    r0 = data.draw(st.sampled_from([0.0, 2.0, 3.0]), label="r0")
+    n = data.draw(st.sampled_from([2.0, 50.0, 1000.0]), label="n")
+    r_edge, dq_edge = _rc_edges(r0, n)
+    drawn = data.draw(st.lists(st.tuples(r_edge, dq_edge), min_size=1, max_size=20),
+                      label="(r, |dq|)")
     rng = np.random.default_rng(9)
-    r = np.concatenate([r0 + rng.uniform(-0.05, 0.05, 500), [r0, r0 + 1 / n, np.nan, np.inf]])
-    dq = np.concatenate([rng.uniform(0.0, 0.06, 500), [1 / n, 2 / n, 0.5, np.nan]])
+    r = np.concatenate([r0 + rng.uniform(-2.5, 2.5, 500) / n, [r0, r0 + 1 / n, np.nan, np.inf],
+                        [p[0] for p in drawn]])
+    dq = np.concatenate([rng.uniform(0.0, 3.0, 500) / n, [1 / n, 2 / n, 0.5, np.nan],
+                         [p[1] for p in drawn]])
     u = np.clip((r - r0) * n, 0.0, 1.0)
     w = np.clip(dq * n - 1.0, 0.0, 1.0)
     want = (np.where(u >= 1.0, 0.0, np.cos(0.5 * np.pi * u))
             * np.where(w >= 1.0, 1.0, np.sin(0.5 * np.pi * w)))
     assert rc_profile(r, dq, r0, n).tobytes() == want.tobytes()
     assert ((want > 0.0) & (want < 1.0)).sum() > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rc_is_zero_where_the_kinetic_step_is_synchronous(data):
+    """The kinetic step skips rc_profile when (min r - r0) n >= 1: there
+    rc_profile is +0.0 on every pair and mixes in no B'', n = inf included.
+    As in the step, r = theta |dx| + |dq|, so a nan |dq| makes r nan, which
+    never passes the test."""
+    from nesslsi.simulate import _rc_mixed
+
+    r0 = data.draw(st.sampled_from([0.0, 2.0, 3.0]), label="r0")
+    n = data.draw(st.sampled_from([2.0, 50.0, 1000.0, math.inf]), label="n")
+    theta = data.draw(st.sampled_from([0.5, 2.0]), label="theta")
+    edge = r0 + 1.0 / (1000.0 if math.isinf(n) else n)
+    # |dx| = 0 puts r on |dq| exactly, at the threshold and one ulp either side
+    dxn = st.sampled_from([0.0, np.nan, np.inf]) | st.floats(0.0, 2.0)
+    dqn = st.sampled_from([np.nan, np.inf, edge, np.nextafter(edge, -np.inf),
+                           np.nextafter(edge, np.inf)]) | st.floats(edge, edge + 1.0)
+    dqn |= st.floats(0.0, edge)
+    pairs = data.draw(st.lists(st.tuples(dxn, dqn), min_size=1, max_size=5),
+                      label="(|dx|, |dq|)")
+    dx, dq = np.array(pairs).T
+    r = theta * dx + dq
+    if (r.min() - r0) * n >= 1.0:
+        assert not np.isnan(r).any()
+        rc, mixed = _rc_mixed(r, dq, r0, n)
+        assert rc.tobytes() == np.zeros_like(r).tobytes()
+        assert mixed.size == 0
 
 
 def test_kinetic_pair_equal_start_stays_identical(kinetic_bench):
@@ -372,7 +421,7 @@ def test_kinetic_pair_equal_start_stays_identical(kinetic_bench):
     np.testing.assert_allclose(traj.rc, 0.0)
 
 
-def test_kinetic_pair_far_start_in_synchronous_regime(kinetic_bench):
+def test_kinetic_pair_far_start_in_synchronous_regime(monkeypatch, kinetic_bench):
     model, params, table = kinetic_bench
     norm = normalize_kinetic(model)
     cfg = SimConfig(dt=1e-3, t_final=0.02, seed=15, n_smooth=1000)
@@ -381,6 +430,16 @@ def test_kinetic_pair_far_start_in_synchronous_regime(kinetic_bench):
     traj = kinetic_coupled_pair(norm, table, params, z0, zp0, cfg, n_paths=4)
     np.testing.assert_allclose(traj.rc[0], 0.0)
     np.testing.assert_allclose(traj.rc[-1], 0.0)
+    # every step starts with all pairs outside the zone, so none evaluates
+    # the ramps or draws B''
+    calls = []
+    monkeypatch.setattr(simulate, "_rc_mixed",
+                        lambda *args, _rc=simulate._rc_mixed: calls.append("rc") or _rc(*args))
+    monkeypatch.setattr(simulate, "noise_normals",
+                        lambda *args, _draw=noise_normals: calls.append(args[2]) or _draw(*args))
+    again = kinetic_coupled_pair(norm, table, params, z0, zp0, cfg, n_paths=4)
+    assert calls == [0] * cfg.n_steps
+    assert again.z_prime.tobytes() == traj.z_prime.tobytes()
 
 
 def test_kinetic_pair_rc_sc_identity(kinetic_bench):
@@ -685,8 +744,8 @@ def _golden_runs():
                          k_matrix=k_aniso, forcing=lambda s, v: 0.03 * np.sin(s - v),
                          radius=1.0, lip_inner=0.03, lip_outer=0.03)
 
-    def kinetic(n_smooth, model=kin, starts=(z0, zp0), n_paths=6):
-        kcfg = replace(cfg, n_smooth=n_smooth)
+    def kinetic(n_smooth, model=kin, starts=(z0, zp0), n_paths=6, **sim):
+        kcfg = replace(cfg, n_smooth=n_smooth, **sim)
         kparams = metric_constants(model.k_matrix, model.lip_inner, model.lip_outer,
                                    model.radius)
         table = build_metric(kparams, quad_tol=1e-10, n_smooth=n_smooth)
@@ -696,6 +755,10 @@ def _golden_runs():
     # benchmark size: 2,000 paths reach BLAS blocking and the SIMD tails of
     # every elementwise loop, which a handful of paths never does
     bench_starts = np.random.default_rng(7).normal(0.0, 1.0, (2, 2000, 4))
+    # the criterion-08 pair starts with every path outside the reflection
+    # zone (r >= r0 + 1/n), where the step is synchronous, and at dt 0.01 the
+    # first paths enter it at t = 1.87 (step 187 of 250)
+    enter_starts = np.array([[3.0, 0.0, 0.0, 0.0], [-2.0, 1.0, 0.5, -0.5]])
 
     def fk(system, x):
         est = feynman_kac_h(system, x, 1.7, 32, cfg)
@@ -748,6 +811,8 @@ def _golden_runs():
         "kinetic_ninf": lambda: kinetic(math.inf),
         "kinetic_aniso": lambda: kinetic(5, aniso),
         "kinetic_aniso_bench": lambda: kinetic(1000, aniso, bench_starts, 2000),
+        "kinetic_enters_zone": lambda: kinetic(1000, kin, enter_starts, 2000, dt=0.01,
+                                               t_final=2.5),
         "fk_elliptic": lambda: fk(elliptic_fk_system(
             lambda s: -s, lambda s: -0.3 * s[..., 0] ** 2 + 0.1 * s[..., 0], 1), np.array([0.4])),
         "fk_kinetic": lambda: fk(kinetic_fk_system(
@@ -788,6 +853,7 @@ GOLDEN = {
     "harnack_staggered": "a283e669446826b87c46469026ba7061929c0a3fd5c95f73148f6aa08f6d4864",
     "kinetic_aniso": "5dec1c1600325827b07f6f685a889c665ddc634f8b31f40b6571b4ebe6ef50ef",
     "kinetic_aniso_bench": "b2727e1d7c1405e04dcc1b95e4c18a2afb6d9518345ae7122dd70fb997db6bd6",
+    "kinetic_enters_zone": "18eb006a0260d24238b20f0e94e2cfaa26b61810c40ab298fdcd1e2742a6ca59",
     "kinetic_n1000": "00206bd766ebd895129a63655dc0ffd1ba4949a19764e648c9f1325a7dc6f10d",
     "kinetic_n5": "e6aa3e7390c55a2759a44596546f873e26ff74356bbeec64b057300ee7322e03",
     "kinetic_ninf": "00206bd766ebd895129a63655dc0ffd1ba4949a19764e648c9f1325a7dc6f10d",

@@ -20,6 +20,18 @@ the pairs in which the change's value is lower.  With ``--traced``, one
 ``--trace 1`` run per side, workload and seed adds the named per-layer
 metrics.  The file is rewritten after every pair, so a cut run keeps what
 it measured.
+
+``verdicts`` gives, per workload and end-to-end metric of ``BENCHMARK.json``
+(whose ``better`` and ``bound`` it reads):
+
+* ``claim``: ``met`` when the change is better in at least nine in ten of
+  all pairs, over both seeds, and at each seed the gap between the medians
+  exceeds the parent's interquartile range; otherwise ``not met``;
+* ``regression``: ``regressed`` when at some seed the change's median is
+  worse than the parent's by more than ``bound`` (relative), ``unresolved``
+  when none is but the runs of a side spread by more than ``bound``
+  (interquartile range over median), and ``ok`` otherwise.  A larger share
+  of failed checks on the change's side is also ``regressed``.
 """
 
 from __future__ import annotations
@@ -103,6 +115,46 @@ def wins(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
+def verdicts(workloads: dict, metrics: list[dict]) -> dict:
+    """The claim and regression verdicts of every workload and metric (see
+    the module docstring) from the per-seed entries written so far."""
+    out = {}
+    for workload, seeds in workloads.items():
+        failed = {side: [seeds[s][side]["failed"] / max(seeds[s][side]["attempted"], 1)
+                         for s in seeds] for side in SIDES}
+        checks_worse = any(c > p for p, c in zip(failed["parent"], failed["change"]))
+        for metric in metrics:
+            name, bound = metric["name"], metric["bound"]
+            sign = 1.0 if metric["better"] == "lower" else -1.0
+            won = total = 0
+            gaps_clear, worse, spread = True, {}, False
+            for seed, entry in seeds.items():
+                parent, change = entry["parent"].get(name), entry["change"].get(name)
+                if parent is None or change is None:
+                    continue
+                pairs = list(zip(parent["runs"], change["runs"]))
+                won += sum(sign * (p - c) > 0 for p, c in pairs)
+                total += len(pairs)
+                gap = sign * (parent["median"] - change["median"])
+                gaps_clear &= gap > parent["q3"] - parent["q1"]
+                worse[seed] = -gap / abs(parent["median"]) if parent["median"] else 0.0
+                spread |= any(side["q3"] - side["q1"] > bound * abs(side["median"])
+                              for side in (parent, change))
+            if not total:
+                continue
+            if checks_worse or any(w > bound for w in worse.values()):
+                regression = "regressed"
+            else:
+                regression = "unresolved" if spread else "ok"
+            out.setdefault(workload, {})[name] = {
+                "pairs_won": f"{won} of {total}",
+                "claim": "met" if won >= 0.9 * total and gaps_clear else "not met",
+                "relative_change": {seed: round(w, 4) for seed, w in worse.items()},
+                "regression": regression,
+            }
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -115,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.workdir))
     out_path = ROOT / f"BENCH_{args.number}.json"
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}"
@@ -129,7 +182,10 @@ def main(argv: list[str] | None = None) -> int:
                    "summed over runs, and for each end-to-end metric the median, quartiles "
                    "(statistics.quantiles(runs, n=4)) and per-run values of the run medians "
                    "that perfbench reports; per workload and seed, <metric>_wins counts the "
-                   "pairs in which the change's value is lower"),
+                   "pairs in which the change's value is lower; verdicts as in "
+                   "tools/bench_pairs.py's docstring, relative_change being the change's "
+                   "median minus the parent's over the parent's, signed so that worse is "
+                   "positive"),
         "host": None,
         "workloads": {},
     }
@@ -155,6 +211,7 @@ def main(argv: list[str] | None = None) -> int:
                     entry = {side: side_summary(runs[side]) for side in SIDES}
                     entry.update(wins(runs["parent"], runs["change"]))
                     bench["workloads"].setdefault(workload, {})[f"seed {seed}"] = entry
+                    bench["verdicts"] = verdicts(bench["workloads"], metrics)
                     out_path.write_text(json.dumps(bench, indent=1) + "\n")
         if args.traced:
             bench["traced"] = {"command": f"{command} --trace 1",
