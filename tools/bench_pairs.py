@@ -25,13 +25,16 @@ it measured.
 (whose ``better`` and ``bound`` it reads):
 
 * ``claim``: ``met`` when the change is better in at least nine in ten of
-  all pairs, over both seeds, and at each seed the gap between the medians
-  exceeds the parent's interquartile range; otherwise ``not met``;
+  all pairs, over both seeds (ties count for neither side), at each seed
+  the gap between the medians exceeds the parent's interquartile range,
+  and no seed has a larger share of failed checks on the change's side;
+  otherwise ``not met``;
 * ``regression``: ``regressed`` when at some seed the change's median is
-  worse than the parent's by more than ``bound`` (relative), ``unresolved``
-  when none is but the runs of a side spread by more than ``bound``
-  (interquartile range over median), and ``ok`` otherwise.  A larger share
-  of failed checks on the change's side is also ``regressed``.
+  worse than the parent's by more than ``bound`` (relative), or its share
+  of failed checks is larger; ``unresolved`` when neither holds but at some
+  seed the runs of a side spread by more than ``bound`` (interquartile
+  range over median) and not every run of the change is better than every
+  run of the parent; ``ok`` otherwise.
 """
 
 from __future__ import annotations
@@ -138,8 +141,10 @@ def verdicts(workloads: dict, metrics: list[dict]) -> dict:
                 gap = sign * (parent["median"] - change["median"])
                 gaps_clear &= gap > parent["q3"] - parent["q1"]
                 worse[seed] = -gap / abs(parent["median"]) if parent["median"] else 0.0
-                spread |= any(side["q3"] - side["q1"] > bound * abs(side["median"])
-                              for side in (parent, change))
+                spread |= (any(side["q3"] - side["q1"] > bound * abs(side["median"])
+                               for side in (parent, change))
+                           and not all(sign * (p - c) > 0 for p in parent["runs"]
+                                       for c in change["runs"]))
             if not total:
                 continue
             if checks_worse or any(w > bound for w in worse.values()):
@@ -148,7 +153,8 @@ def verdicts(workloads: dict, metrics: list[dict]) -> dict:
                 regression = "unresolved" if spread else "ok"
             out.setdefault(workload, {})[name] = {
                 "pairs_won": f"{won} of {total}",
-                "claim": "met" if won >= 0.9 * total and gaps_clear else "not met",
+                "claim": ("met" if won >= 0.9 * total and gaps_clear and not checks_worse
+                          else "not met"),
                 "relative_change": {seed: round(w, 4) for seed, w in worse.items()},
                 "regression": regression,
             }
