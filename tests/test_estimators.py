@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from nesslsi import SimConfig, make_scenario
-from nesslsi.models import EllipticModel, arctan_kernel, derive_elliptic_fields, normalize_kinetic
+from nesslsi.models import (
+    EllipticModel, KineticModel, arctan_kernel, derive_elliptic_fields, normalize_kinetic,
+)
 from nesslsi.simulate import reflection_pair
 from nesslsi.estimators import (
     UnstableLogError,
@@ -341,6 +343,21 @@ def test_fk_kinetic_zero_forcing_is_unit():
     cfg = SimConfig(dt=1e-3, t_final=1.0, seed=18)
     est = feynman_kac_h(sys_, np.zeros(2), 1.0, 200, cfg)
     assert est.value == 1.0 and est.stderr == 0.0
+
+
+def test_fk_kinetic_fd_potential_matches_closed_form():
+    """With a forcing and no potential given, phi = -div_v G + G.v takes
+    div_v G by central differences; for G(x, v) = 0.03 sin(x - v) the closed
+    form is div_v G = -0.03 sum cos(x_i - v_i)."""
+    d = 2
+    k = np.array([[1.2, 0.3], [0.3, 0.9]])
+    forcing = lambda x, v: 0.03 * np.sin(x - v)
+    m = KineticModel(d=d, gamma=1.0, grad_potential=lambda x: x @ k.T, k_matrix=k,
+                     forcing=forcing)
+    z = np.random.default_rng(21).normal(size=(500, 2 * d))
+    x, v = z[:, :d], z[:, d:]
+    want = 0.03 * np.sum(np.cos(x - v), axis=-1) + np.sum(forcing(x, v) * v, axis=-1)
+    np.testing.assert_allclose(kinetic_fk_system(m).potential(z), want, rtol=0, atol=1e-9)
 
 
 def test_fk_weight_overflow_detected():

@@ -113,19 +113,17 @@ def test_derive_fields_rotating_perturbation_matches_closed_form():
 
 
 def test_fd_divergence_matches_closed_form_cubic():
-    # polynomial b1 of degree 3 with supplied closed-form divergence
+    # polynomial b1 of degree 3: phi = -sum(3 x^2 - 2) + b1(x) . (-x)
     d = 3
     b1 = lambda x: x**3 - 2.0 * x
-    div = lambda x: np.sum(3.0 * x**2 - 2.0, axis=-1)
-    base = dict(
+    fields = derive_elliptic_fields(EllipticModel(
         d=d, drift=lambda x: -x + b1(x), sigma=1.0, rho=1.0,
         b0=lambda x: -x, b1=b1, grad_log_ref=lambda x: -x,
-    )
-    with_fd = derive_elliptic_fields(EllipticModel(**base))
-    with_cf = derive_elliptic_fields(EllipticModel(**base, div_b1=div))
+    ))
     gen = np.random.default_rng(7)
     x = gen.standard_normal((1000, d))
-    np.testing.assert_allclose(with_fd.phi(x), with_cf.phi(x), atol=1e-6)
+    want = -np.sum(3.0 * x**2 - 2.0, axis=-1) - np.sum(b1(x) * x, axis=-1)
+    np.testing.assert_allclose(fields.phi(x), want, atol=1e-6)
 
 
 def test_derive_fields_requires_reference():

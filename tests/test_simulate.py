@@ -156,6 +156,37 @@ def test_row_dot_is_numpy_sum_bit_for_bit(d):
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unit_or_e1_is_the_guarded_division_bit_for_bit(d):
+    """delta / |delta| per row, (1, 0, ...) where the norm is 0 or nan, with
+    the bits of the guarded division, on rows with positive, subnormal, zero
+    and nan norms, for C-ordered rows and for the Fortran-ordered transpose
+    that the kinetic step passes."""
+    from nesslsi.simulate import _row_norm, _unit_or_e1
+
+    def reference(delta, norm):
+        e = np.zeros_like(delta)
+        e[:, 0] = 1.0
+        return np.divide(delta, norm[:, None], out=e, where=norm[:, None] > 0.0)
+
+    rng = np.random.default_rng(d)
+    delta = rng.normal(size=(300, d)) * rng.lognormal(0.0, 4.0, size=(300, d))
+    delta[:10] = 0.0
+    delta[10:20, 0] = np.nan
+    norm = _row_norm(delta)
+    norm[20:30] = rng.choice([5e-324, 1e-310, 2.2e-308], size=10)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for rows in (slice(None), slice(20, None), slice(30, None)):
+            delta_r, norm_r = delta[rows], norm[rows]
+            want = reference(delta_r, norm_r)
+            got = _unit_or_e1(delta_r, norm_r)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            # the kinetic step's (d, n) rows of a C-ordered state, transposed
+            t = np.ascontiguousarray(delta_r.T)
+            assert t.T.flags.f_contiguous
+            assert _unit_or_e1(t.T, norm_r).T.tobytes() == want.T.tobytes()
+
+
 def test_sim_config_validation():
     for bad in ({"dt": 0.0}, {"dt": 2.0},
                 {"dt": math.nan}, {"dt": math.inf}, {"dt": -math.inf},
