@@ -6,7 +6,6 @@ from .models import (
     KineticModel,
     CompetitionKernel,
     DerivedEllipticFields,
-    eval_drift,
     derive_elliptic_fields,
     make_competition_drift,
     normalize_kinetic,

@@ -260,25 +260,15 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _constants_block(
-    *, rho: float, sigma: float, L: float = 0.0, R: float = 0.0, d: int = 1,
-    alpha_ext: float = 1.0, sup_inner: float | None = None,
-) -> ConstantsReport:
-    """The constants report of a ``constants`` block."""
-    return constants_report(L=L, rho=rho, R=R, sigma=sigma, d=d, alpha_ext=alpha_ext,
-                            sup_inner=sup_inner)
-
-
 def _metric_block(
     *, k_matrix: list[list[float]], lip_inner: float = 0.0, lip_outer: float = 0.0,
     radius: float = 0.0, quad_tol: float = 1e-10, n_smooth: float | None = None,
 ):
-    """The metric constants and table of a ``metric`` block; ``n_smooth``
-    None is the limiting construction."""
+    """The metric table of a ``metric`` block, which carries its constants;
+    ``n_smooth`` None is the limiting construction."""
     params = metric_constants(np.asarray(k_matrix, dtype=float), lip_inner, lip_outer, radius)
-    table = build_metric(params, quad_tol=quad_tol,
-                         n_smooth=math.inf if n_smooth is None else n_smooth)
-    return params, table
+    return build_metric(params, quad_tol=quad_tol,
+                        n_smooth=math.inf if n_smooth is None else n_smooth)
 
 
 def _constants_from(cfg: dict) -> ConstantsReport | None:
@@ -286,9 +276,9 @@ def _constants_from(cfg: dict) -> ConstantsReport | None:
     when it has none; unknown keys and bad values are config errors."""
     if "constants" not in cfg:
         return None
-    kwargs = _check_block(_constants_block, cfg["constants"], "constants")
+    kwargs = _check_block(constants_report, cfg["constants"], "constants")
     try:
-        return _constants_block(**kwargs)
+        return constants_report(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad constants block: {exc}") from exc
 
@@ -314,11 +304,11 @@ def cmd_constants(cfg: dict, checked: dict, out_dir: Path) -> int:
                                         "bound_at_2t0": hyper}
     if metric is not None:
         try:
-            params, table = _metric_block(**metric)
+            table = _metric_block(**metric)
         except ValueError as exc:
             raise ConfigError(f"bad metric block: {exc}") from exc
         report["metric"] = {
-            "params": params.to_json(),
+            "params": table.params.to_json(),
             "kappa1": table.kappa1,
             "eps": table.eps,
             "kappa": table.kappa,
@@ -342,10 +332,10 @@ def _default_pair(dim: int) -> Pair:
 
 def _kinetic_metric(model: KineticModel, sim: SimConfig):
     """The unit-friction model that the kinetic coupling simulates, with the
-    metric constants and table built from that same model."""
+    metric table built from that same model."""
     unit = normalize_kinetic(model)
     params = metric_constants(unit.k_matrix, unit.lip_inner, unit.lip_outer, unit.radius)
-    return unit, params, build_metric(params, n_smooth=sim.n_smooth)
+    return unit, build_metric(params, n_smooth=sim.n_smooth)
 
 
 def _run_one_sided(model, sim, /, *, n_pairs: int = 4096) -> dict:
@@ -368,10 +358,9 @@ _run_w1_reflection = partial(_run_w1, "reflection")
 
 def _run_w1_kinetic(model, sim, /, *, n_paths: int = 2000, pair: Pair | None = None,
                     slack: float = 0.10) -> dict:
-    unit, params, table = _kinetic_metric(model, sim)
+    unit, table = _kinetic_metric(model, sim)
     x0, y0 = pair or _default_pair(2 * model.d)
-    rep = w1_contraction("kinetic", unit, x0, y0, sim, n_paths=n_paths,
-                         table=table, params=params, slack=slack)
+    rep = w1_contraction("kinetic", unit, x0, y0, sim, n_paths=n_paths, table=table, slack=slack)
     return {"fit": rep.fit.to_json(), "flag": rep.envelope_ok, "rho0": rep.rho0}
 
 
@@ -605,8 +594,8 @@ def _trajectories(model, sim, /, *, coupling: str = "reflection", n_paths: int =
     every = max(sim.n_steps // 500, 1)
     x0, y0 = pair or _default_pair(_state_dim(model))
     if coupling == "kinetic":
-        unit, params, table = _kinetic_metric(model, sim)
-        return kinetic_coupled_pair(unit, table, params, x0, y0, sim, n_paths=n_paths,
+        unit, table = _kinetic_metric(model, sim)
+        return kinetic_coupled_pair(unit, table, table.params, x0, y0, sim, n_paths=n_paths,
                                     record_every=every)
     if coupling == "harnack":
         return harnack_pair(model, x0, y0, sim, k_w=model.lip * model.radius,

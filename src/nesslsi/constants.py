@@ -241,12 +241,9 @@ def perturbation_bound_elliptic(
     l_phi: float,
     c_prime: float,
     dist: float,
-    t_opt: float | None = None,
 ) -> PerturbationBound:
-    """Value-function increment bound 2 M t + C'(2M/t + L) dist.
-
-    With ``t_opt`` given, evaluates at that t.  Otherwise minimizes over t,
-    giving t* = sqrt(C' dist) and total 4 M sqrt(C' dist) + C' L dist.
+    """Value-function increment bound 2 M t + C'(2M/t + L) dist, minimized
+    over t: t* = sqrt(C' dist) and total 4 M sqrt(C' dist) + C' L dist.
     ``c_prime`` is the contraction ratio C/kappa estimated from reflection
     coupling fits; it is never asserted, only supplied.
     """
@@ -254,12 +251,6 @@ def perturbation_bound_elliptic(
         raise ValueError("c_prime must be positive")
     if dist < 0 or m_phi < 0 or l_phi < 0:
         raise ValueError("m_phi, l_phi, dist must be nonnegative")
-    if t_opt is not None:
-        if t_opt <= 0:
-            raise ValueError("t must be positive")
-        bounded = 2.0 * m_phi * t_opt
-        slope = c_prime * (2.0 * m_phi / t_opt + l_phi)
-        return PerturbationBound(bounded, slope, bounded + slope * dist, t_opt)
     if m_phi == 0.0 or dist == 0.0:
         # limit t -> 0: only the Lipschitz term survives
         return PerturbationBound(0.0, c_prime * l_phi, c_prime * l_phi * dist, 0.0)
@@ -279,11 +270,12 @@ def kinetic_value_lip_bound(table, l_phi: float) -> float:
 
 
 def constants_report(
-    L: float,
+    *,
     rho: float,
-    R: float,
     sigma: float,
-    d: int,
+    L: float = 0.0,
+    R: float = 0.0,
+    d: int = 1,
     alpha_ext: float = 1.0,
     sup_inner: float | None = None,
 ) -> ConstantsReport:

@@ -25,8 +25,10 @@ from .constants import (
     lyapunov_bound,
     perturbation_bound_elliptic,
 )
-from .metric import MetricParams, MetricTable, rho_star
-from .models import CompetitionKernel, EllipticModel, KineticModel, make_competition_drift
+from .metric import MetricTable, rho_star
+from .models import (
+    CompetitionKernel, EllipticModel, KineticModel, _central_divergence, make_competition_drift,
+)
 from .simulate import (
     CH_AUX,
     CH_MAIN,
@@ -198,7 +200,6 @@ def w1_contraction(
     cfg: SimConfig,
     n_paths: int,
     table: MetricTable | None = None,
-    params: MetricParams | None = None,
     slack: float = 0.10,
 ) -> W1Report:
     """Estimate E|Z_t - Z'_t| under a coupling and fit an exponential rate.
@@ -215,9 +216,9 @@ def w1_contraction(
     if kind in ("synchronous", "reflection"):
         times, mean_dist, _ = _coupled_run(kind, model, x0, y0, cfg, n_paths)
     elif kind == "kinetic":
-        if table is None or params is None:
-            raise ValueError("kinetic contraction needs the metric table and params")
-        traj = kinetic_coupled_pair(model, table, params, x0, y0, cfg, n_paths,
+        if table is None:
+            raise ValueError("kinetic contraction needs the metric table")
+        traj = kinetic_coupled_pair(model, table, table.params, x0, y0, cfg, n_paths,
                                     max(cfg.n_steps // 100, 1), keep_states=False)
         times, mean_dist = traj.times, traj.mean_separation
     else:
@@ -231,7 +232,7 @@ def w1_contraction(
     if kind == "kinetic":
         z0b = traj.z[0]
         zp0b = traj.z_prime[0]
-        rho0 = float(np.mean(rho_star(table, params, z0b, zp0b)))
+        rho0 = float(np.mean(rho_star(table, z0b, zp0b)))
         envelope = table.c1 * np.exp(-table.kappa * times) * rho0
         envelope_ok = bool(np.all(mean_dist <= (1.0 + slack) * envelope))
     return W1Report(
@@ -394,10 +395,10 @@ def harnack_check(
         model, x, replace(run, seed=derive_seed(cfg.seed, "harnack-rhs")),
         n_paths=n_paths, record_every=run.n_steps,
     )
-    fy = f(lhs_traj.terminal)
-    fax = f(rhs_traj.terminal) ** alpha
-    if np.any(fy < 0):
+    fy, fx = f(lhs_traj.terminal), f(rhs_traj.terminal)
+    if np.any(fy < 0) or np.any(fx < 0):
         raise ValueError("f must be nonnegative on the sampled range")
+    fax = fx**alpha
     m_y, s_y = float(fy.mean()), float(fy.std(ddof=1) / math.sqrt(n_paths))
     m_x, s_x = float(fax.mean()), float(fax.std(ddof=1) / math.sqrt(n_paths))
     dist = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
@@ -442,17 +443,9 @@ def kinetic_fk_system(
         if model.forcing is None:
             potential_fn = lambda z: np.zeros(z.shape[:-1])
         else:
-            h = 1e-5
-
             def potential_fn(z: np.ndarray) -> np.ndarray:
                 x, v = z[..., :d], z[..., d:]
-                div = np.zeros(z.shape[:-1])
-                for i in range(d):
-                    dv = np.zeros(d)
-                    dv[i] = h
-                    div += (
-                        model.force_g(x, v + dv)[..., i] - model.force_g(x, v - dv)[..., i]
-                    ) / (2.0 * h)
+                div = _central_divergence(lambda w: model.force_g(x, w), v)
                 return -div + np.sum(model.force_g(x, v) * v, axis=-1)
     else:
         potential_fn = potential

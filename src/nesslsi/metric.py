@@ -369,17 +369,12 @@ def build_metric(
     )
 
 
-def g_quadratic(
-    params: MetricParams,
-    k_matrix: np.ndarray | None,
-    dx: np.ndarray,
-    dv: np.ndarray,
-) -> np.ndarray:
+def g_quadratic(params: MetricParams, dx: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Quadratic Lyapunov form G = (1/2) dx^T K dx + (1/2)|dv|^2 + eta dx.dv.
 
     Satisfies lam (|dx|^2 + |dv|^2) <= G <= (theta/2)(|dx|^2 + |dv|^2).
     """
-    K = np.asarray(params.k_matrix if k_matrix is None else k_matrix, dtype=float)
+    K = np.asarray(params.k_matrix, dtype=float)
     dx = np.asarray(dx, dtype=float)
     dv = np.asarray(dv, dtype=float)
     if dx.shape != dv.shape or dx.shape[-1] != K.shape[0]:
@@ -388,14 +383,10 @@ def g_quadratic(
     return quad + 0.5 * np.sum(dv * dv, axis=-1) + params.eta * np.sum(dx * dv, axis=-1)
 
 
-def rho_star(
-    table: MetricTable,
-    params: MetricParams,
-    z: np.ndarray,
-    z_prime: np.ndarray,
-) -> np.ndarray:
+def rho_star(table: MetricTable, z: np.ndarray, z_prime: np.ndarray) -> np.ndarray:
     """Semimetric rho(z, z') = eps G(z, z') + f(theta |dx| + |dq|) with
     q = x + v.  Satisfies |z - z'| <= C1 rho(z, z') (for R > 0)."""
+    params = table.params
     z = np.asarray(z, dtype=float)
     z_prime = np.asarray(z_prime, dtype=float)
     d = z.shape[-1] // 2
@@ -403,4 +394,4 @@ def rho_star(
     dv = z[..., d:] - z_prime[..., d:]
     dq = dx + dv
     r = params.theta * np.linalg.norm(dx, axis=-1) + np.linalg.norm(dq, axis=-1)
-    return table.eps * g_quadratic(params, None, dx, dv) + table.f(r)
+    return table.eps * g_quadratic(params, dx, dv) + table.f(r)

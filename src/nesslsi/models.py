@@ -32,7 +32,6 @@ __all__ = [
     "KineticModel",
     "CompetitionKernel",
     "OneSidedReport",
-    "eval_drift",
     "derive_elliptic_fields",
     "make_competition_drift",
     "normalize_kinetic",
@@ -72,7 +71,6 @@ class EllipticModel:
     b0: Drift | None = None
     b1: Drift | None = None
     grad_log_ref: Drift | None = None
-    div_b1: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -243,32 +241,23 @@ class OneSidedReport:
         return self.outside_violated or self.inside_violated
 
 
-def eval_drift(model: EllipticModel | KineticModel, state: np.ndarray) -> np.ndarray:
-    """Evaluate the full drift of ``model`` at ``state`` ((..., d) elliptic,
-    (..., 2d) kinetic).  Raises on dimension mismatch or non-finite output."""
-    state = np.asarray(state, dtype=float)
-    if isinstance(model, EllipticModel):
-        if state.shape[-1] != model.d:
-            raise ValueError(f"state dimension {state.shape[-1]} != model dimension {model.d}")
-        out = model.drift(state)
-    elif isinstance(model, KineticModel):
-        if state.shape[-1] != 2 * model.d:
-            raise ValueError(f"state dimension {state.shape[-1]} != phase dimension {2 * model.d}")
-        out = model.kinetic_drift(state)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("drift returned non-finite values")
+def _central_divergence(field: Drift, y: np.ndarray) -> np.ndarray:
+    """div field at y, (..., d) -> (...), by central differences of step
+    h = 1e-5 (accuracy O(h^2))."""
+    y = np.asarray(y, dtype=float)
+    d, h = y.shape[-1], 1e-5
+    out = np.zeros(y.shape[:-1])
+    for i in range(d):
+        dy = np.zeros(d)
+        dy[i] = h
+        out += (field(y + dy)[..., i] - field(y - dy)[..., i]) / (2.0 * h)
     return out
 
 
 def derive_elliptic_fields(model: EllipticModel) -> DerivedEllipticFields:
     """Build the dual drift b_tilde = 2 grad log mu_0 - b and the potential
-    phi = -div b1 + b1 . grad log mu_0.
-
-    When no closed-form divergence is supplied, div b1 falls back to central
-    differences with step h = 1e-5 (accuracy O(h^2)).
-    """
+    phi = -div b1 + b1 . grad log mu_0, with div b1 by central differences
+    (see ``_central_divergence``)."""
     if model.grad_log_ref is None:
         raise ValueError("model.grad_log_ref (grad log mu_0) is required")
     grad_log_ref = model.grad_log_ref
@@ -283,22 +272,8 @@ def derive_elliptic_fields(model: EllipticModel) -> DerivedEllipticFields:
             return np.zeros(np.asarray(x).shape[:-1])
         return DerivedEllipticFields(b_tilde=b_tilde, phi=phi)
 
-    if model.div_b1 is not None:
-        div_b1 = model.div_b1
-    else:
-        d, h = model.d, 1e-5
-
-        def div_b1(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape[:-1])
-            for i in range(d):
-                dx = np.zeros(d)
-                dx[i] = h
-                out += (b1(x + dx)[..., i] - b1(x - dx)[..., i]) / (2.0 * h)
-            return out
-
     def phi(x: np.ndarray) -> np.ndarray:
-        return -div_b1(x) + np.sum(b1(x) * grad_log_ref(x), axis=-1)
+        return -_central_divergence(b1, x) + np.sum(b1(x) * grad_log_ref(x), axis=-1)
 
     return DerivedEllipticFields(b_tilde=b_tilde, phi=phi)
 

@@ -515,6 +515,8 @@ def synchronous_pair(
 def _unit_or_e1(delta: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """delta/|delta| row by row, given norm = |delta|, with the convention
     (1, 0, ..., 0) at delta = 0."""
+    if (norm > 0.0).all():              # a nan norm fails this test
+        return delta / norm[:, None]
     e = np.zeros_like(delta)
     e[:, 0] = 1.0
     return np.divide(delta, norm[:, None], out=e, where=norm[:, None] > 0.0)
@@ -734,11 +736,7 @@ def kinetic_coupled_pair(
         # on the smallest r; a nan r fails the test
         if (r.min() - r0) * n_smooth >= 1.0:
             return no_rc, _NO_ENTRIES, None
-        if dqn.min() > 0.0:
-            e = delta[d:] / dqn
-        else:
-            e = _unit_or_e1(delta[d:].T, dqn).T
-        return *_rc_mixed(r, dqn, r0, n_smooth), e
+        return *_rc_mixed(r, dqn, r0, n_smooth), _unit_or_e1(delta[d:].T, dqn).T
 
     # the weights of the state the next step starts from; the rc of each
     # recorded state is kept, as the rc that the step after it mixes with

@@ -31,8 +31,9 @@ def identity_table(identity_params):
 
 @pytest.fixture(scope="session")
 def kinetic_bench():
-    """Identity-K quadratic kinetic benchmark in d = 2 with declared R = 1."""
+    """Identity-K quadratic kinetic benchmark in d = 2 with declared R = 1,
+    and its metric table."""
     model = make_scenario("kinetic-quadratic", {"d": 2, "gamma": 1.0, "radius": 1.0})
     params = metric_constants(model.k_matrix, model.lip_inner, model.lip_outer, model.radius)
     table = build_metric(params, quad_tol=1e-10)
-    return model, params, table
+    return model, table

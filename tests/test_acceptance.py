@@ -113,7 +113,7 @@ def test_criterion_03_distance_domination(identity_table, identity_params):
         r = identity_params.theta * np.abs(dx[:, 0]) + np.abs(dq[:, 0])
         assert 100 < (r <= identity_params.r0).sum() < n - 100
         dist = np.linalg.norm(z - zp, axis=-1)
-        rho = rho_star(identity_table, identity_params, z, zp)
+        rho = rho_star(identity_table, z, zp)
         violations = int((dist > identity_table.c1 * rho).sum())
         assert violations == 0
 
@@ -184,17 +184,17 @@ def test_criterion_07_harnack(ou1):
 
 def test_criterion_08_kinetic_envelope(kinetic_bench):
     with _Gate(8, "kinetic coupling below C1 e^{-kt} rho envelope; marginals", 300.0):
-        model, params, table = kinetic_bench
+        model, table = kinetic_bench
         norm = normalize_kinetic(model)
         cfg = SimConfig(dt=1e-3, t_final=10.0, seed=105, n_smooth=1000)
         z0 = np.array([3.0, 0.0, 0.0, 0.0])
         zp0 = np.array([-2.0, 1.0, 0.5, -0.5])
         n = 10_000
         rep = w1_contraction("kinetic", norm, z0, zp0, cfg, n_paths=n,
-                             table=table, params=params, slack=0.10)
+                             table=table, slack=0.10)
         assert rep.envelope_ok
         # marginal law of the coupled copy matches an independent simulation
-        traj = kinetic_coupled_pair(norm, table, params, z0, zp0, cfg,
+        traj = kinetic_coupled_pair(norm, table, table.params, z0, zp0, cfg,
                                     n_paths=4000, record_every=cfg.n_steps)
         from nesslsi.simulate import SdeSystem
 

@@ -44,7 +44,7 @@ kin = make_scenario("kinetic-quadratic", {"d": 2})
 params = metric_constants(kin.k_matrix, kin.lip_inner, kin.lip_outer, kin.radius)
 table = build_metric(params, n_smooth=1000)
 z0, zp0 = np.array([1.5, 0.0, 0.0, 0.0]), np.zeros(4)
-rho_star(table, params, z0, zp0)
+rho_star(table, z0, zp0)
 kinetic_coupled_pair(normalize_kinetic(kin), table, params, z0, zp0,
                      SimConfig(dt=0.01, t_final=0.1, seed=1), n_paths=4)
 print(loaded())
@@ -228,7 +228,7 @@ def test_verify_kinetic_metric_is_that_of_the_normalized_model(tmp_path, capsys)
     m = normalize_kinetic(make_scenario("kinetic-quadratic", {"d": 2, "gamma": 2.0}))
     params = metric_constants(m.k_matrix, m.lip_inner, m.lip_outer, m.radius)
     table = build_metric(params, n_smooth=1000)
-    expected = float(rho_star(table, params, np.array(x0), np.array(y0)))
+    expected = float(rho_star(table, np.array(x0), np.array(y0)))
     assert record["rho0"] == pytest.approx(expected, rel=1e-12)
     capsys.readouterr()
 

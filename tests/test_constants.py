@@ -191,11 +191,6 @@ def test_perturbation_bound_zero_distance():
     assert pb.total == 0.0
 
 
-def test_perturbation_bound_rejects_bad_t():
-    with pytest.raises(ValueError):
-        perturbation_bound_elliptic(1.0, 1.0, 1.0, 1.0, t_opt=0.0)
-
-
 def test_kinetic_value_lip_bound(identity_table):
     assert kinetic_value_lip_bound(identity_table, 0.0) == 0.0
     one = kinetic_value_lip_bound(identity_table, 1.0)

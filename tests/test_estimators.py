@@ -119,13 +119,12 @@ def test_w1_requires_budget(ou1):
 
 
 def test_w1_kinetic_envelope(kinetic_bench):
-    model, params, table = kinetic_bench
+    model, table = kinetic_bench
     cfg = SimConfig(dt=2e-3, t_final=5.0, seed=4, n_smooth=1000)
     z0 = np.array([3.0, 0.0, 0.0, 0.0])
     zp0 = np.array([-2.0, 1.0, 0.5, -0.5])
     rep = w1_contraction(
-        "kinetic", normalize_kinetic(model), z0, zp0, cfg, 2000,
-        table=table, params=params,
+        "kinetic", normalize_kinetic(model), z0, zp0, cfg, 2000, table=table,
     )
     assert rep.envelope_ok
     assert rep.fit.kappa_hat > 0.0   # the coupled pair actually contracts
@@ -295,6 +294,15 @@ def test_harnack_mc_matches_closed_forms(ou1):
     assert abs(chk.rhs - rhs_closed) <= 3.0 * chk.rhs_stderr
     assert lhs_closed <= rhs_closed
     assert chk.ok
+
+
+def test_harnack_rejects_f_negative_on_the_rhs_sample(ou1):
+    """f >= 0 is checked on both samples: f(s) = s + 2 is negative only near
+    x = -5, where the rhs paths start, and f^1.5 would be nan there."""
+    cfg = SimConfig(dt=1e-2, t_final=0.1, seed=15)
+    with pytest.raises(ValueError, match="nonnegative"):
+        harnack_check(ou1, lambda s: s[:, 0] + 2.0, 1.5, np.array([-5.0]), np.array([5.0]),
+                      0.1, 1000, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_semimetric_contracts_at_advertised_rate(anisotropic_setup):
     traj = kinetic_coupled_pair(norm, table, params, z0, zp0, cfg,
                                 n_paths=4000, record_every=60)
     rho_t = np.array([
-        rho_star(table, params, traj.z[i], traj.z_prime[i]).mean()
+        rho_star(table, traj.z[i], traj.z_prime[i]).mean()
         for i in range(traj.times.size)
     ])
     envelope = rho_t[0] * np.exp(-table.kappa * traj.times)
@@ -97,8 +97,7 @@ def test_distance_envelope_and_positive_rate(anisotropic_setup):
     cfg = SimConfig(dt=2e-3, t_final=6.0, seed=61, n_smooth=1000)
     z0 = np.array([2.0, -1.0, 0.0, 0.0])
     zp0 = np.array([-1.0, 0.5, 0.5, -0.5])
-    rep = w1_contraction("kinetic", norm, z0, zp0, cfg, 2000,
-                         table=table, params=params)
+    rep = w1_contraction("kinetic", norm, z0, zp0, cfg, 2000, table=table)
     assert rep.envelope_ok
     assert rep.fit.kappa_hat > 0.05
 

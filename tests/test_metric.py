@@ -149,7 +149,7 @@ def test_kappa_floor_from_eps_cap(identity_table, identity_params):
 
 def test_rho_star_zero_on_diagonal(identity_table, identity_params):
     z = np.array([0.3, -0.2])  # d = 1 phase space
-    assert rho_star(identity_table, identity_params, z, z) == 0.0
+    assert rho_star(identity_table, z, z) == 0.0
 
 
 def test_rho_star_matches_independent_reimplementation(identity_params):
@@ -160,7 +160,7 @@ def test_rho_star_matches_independent_reimplementation(identity_params):
     gen = np.random.default_rng(12)
     z = gen.standard_normal((16, 4))
     zp = z + 0.7 * gen.standard_normal((16, 4))
-    got = rho_star(table, params, z, zp)
+    got = rho_star(table, z, zp)
     for i in range(16):
         dx = z[i, :2] - zp[i, :2]
         dv = z[i, 2:] - zp[i, 2:]
@@ -175,13 +175,13 @@ def test_rho_star_small_separation_ratio_bounded_by_c2(identity_table, identity_
     z = np.zeros(2)
     for delta in (1e-4, 1e-6):
         zp = np.array([0.0, delta])  # dx = 0, dv = delta
-        ratio = rho_star(identity_table, identity_params, z, zp) / delta
+        ratio = rho_star(identity_table, z, zp) / delta
         assert ratio <= identity_table.c2 + 1e-6
     # generic small displacements also obey the C2 limit
     gen = np.random.default_rng(3)
     d = gen.standard_normal((1000, 2)) * 1e-6
     zp = z + d
-    ratios = rho_star(identity_table, identity_params, np.broadcast_to(z, zp.shape), zp)
+    ratios = rho_star(identity_table, np.broadcast_to(z, zp.shape), zp)
     ratios = ratios / np.linalg.norm(d, axis=-1)
     assert np.all(ratios <= identity_table.c2 + 1e-6)
 
@@ -203,7 +203,7 @@ def test_w1_domination_on_random_pairs(identity_table, identity_params):
     below = (r <= identity_params.r0).sum()
     assert 0 < below < z.shape[0]  # both branches populated
     dist = np.linalg.norm(z - zp, axis=-1)
-    rho = rho_star(identity_table, identity_params, z, zp)
+    rho = rho_star(identity_table, z, zp)
     assert np.all(dist <= identity_table.c1 * rho)
 
 
@@ -234,13 +234,13 @@ def test_degenerate_radius_zero():
     z = np.array([1.0, 0.0, 0.0, -1.0])
     zp = np.zeros(4)
     dx, dv = z[:2], z[2:]
-    expected_g = g_quadratic(params, None, dx, dv)
-    np.testing.assert_allclose(rho_star(t, params, z, zp), expected_g)
+    expected_g = g_quadratic(params, dx, dv)
+    np.testing.assert_allclose(rho_star(t, z, zp), expected_g)
 
 
 def test_g_quadratic_examples(identity_params):
-    assert g_quadratic(identity_params, None, np.zeros(1), np.zeros(1)) == 0.0
-    val = g_quadratic(identity_params, np.eye(1), np.array([1.0]), np.array([1.0]))
+    assert g_quadratic(identity_params, np.zeros(1), np.zeros(1)) == 0.0
+    val = g_quadratic(identity_params, np.array([1.0]), np.array([1.0]))
     assert abs(val - 1.5) < 1e-15
 
 
@@ -248,7 +248,7 @@ def test_g_quadratic_sandwich(identity_params):
     gen = np.random.default_rng(9)
     dx = gen.standard_normal((10_000, 1))
     dv = gen.standard_normal((10_000, 1))
-    G = g_quadratic(identity_params, None, dx, dv)
+    G = g_quadratic(identity_params, dx, dv)
     sq = np.sum(dx * dx, axis=-1) + np.sum(dv * dv, axis=-1)
     assert np.all(G >= identity_params.lam * sq - 1e-12)
     assert np.all(G <= identity_params.theta / 2.0 * sq + 1e-12)
@@ -287,7 +287,7 @@ def _metric_digest(params, n_smooth) -> str:
     h = hashlib.sha256()
     for v in (table.grid, table.phi_primitive, table.g_vals, table.f_vals,
               [table.kappa1, table.eps, table.kappa, table.c1],
-              rho_star(table, params, z, zp)):
+              rho_star(table, z, zp)):
         a = np.ascontiguousarray(np.asarray(v, dtype=float))
         h.update(repr(a.shape).encode())
         h.update(a.tobytes())

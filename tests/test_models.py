@@ -10,7 +10,6 @@ from nesslsi.models import (
     KineticModel,
     arctan_kernel,
     derive_elliptic_fields,
-    eval_drift,
     make_competition_drift,
     make_scenario,
     normalize_kinetic,
@@ -18,40 +17,6 @@ from nesslsi.models import (
 )
 
 from nesslsi.simulate import noise_normals
-
-
-def test_eval_drift_ou_linear():
-    m = make_scenario("ou", {"d": 2})
-    out = eval_drift(m, np.array([2.0, 0.0]))
-    np.testing.assert_allclose(out, [-2.0, 0.0])
-
-
-def test_eval_drift_rotating():
-    m = make_scenario("rotating", {"f_const": 1.0, "v_amp": 0.0})
-    out = eval_drift(m, np.array([1.0, 0.0]))
-    # x_perp - x = (0, -1) - (1, 0)
-    np.testing.assert_allclose(out, [-1.0, -1.0], atol=1e-12)
-
-
-def test_eval_drift_kinetic_quadratic():
-    m = make_scenario("kinetic-quadratic", {"d": 2, "gamma": 1.0})
-    z = np.array([1.0, 0.0, 0.0, 1.0])
-    out = eval_drift(m, z)
-    np.testing.assert_allclose(out[:2], [0.0, 1.0])       # velocity part
-    np.testing.assert_allclose(out[2:], [-1.0, -1.0])     # -x - v
-
-
-def test_eval_drift_dimension_mismatch():
-    m = make_scenario("ou", {"d": 2})
-    with pytest.raises(ValueError):
-        eval_drift(m, np.zeros(3))
-
-
-@pytest.mark.filterwarnings("ignore:divide by zero")
-def test_eval_drift_nonfinite():
-    m = EllipticModel(d=1, drift=lambda x: 1.0 / x, sigma=1.0, rho=1.0)
-    with pytest.raises(FloatingPointError):
-        eval_drift(m, np.zeros(1))
 
 
 def test_split_consistency_checked():

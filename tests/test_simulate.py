@@ -91,7 +91,7 @@ def test_every_draw_goes_through_the_module_noise_normals(monkeypatch, kinetic_b
 
         monkeypatch.setattr(module, "noise_normals", counting)
     ou = make_scenario("ou", {"d": 2})
-    kin, params, table = kinetic_bench
+    kin, table = kinetic_bench
     cfg = SimConfig(dt=0.1, t_final=1.3, seed=5, n_smooth=1000)
     x0, y0 = np.array([1.0, 0.5]), np.array([-1.0, 0.0])
     z0, zp0 = np.array([1.5, 0.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.5, -0.5])
@@ -111,7 +111,7 @@ def test_every_draw_goes_through_the_module_noise_normals(monkeypatch, kinetic_b
     # wide ramps (n_smooth 5), so that some steps start on one and some do not
     kin_cfg = replace(cfg, n_smooth=5)
     calls.clear()
-    rc = kinetic_coupled_pair(normalize_kinetic(kin), table, params, z0, zp0, kin_cfg, 3).rc
+    rc = kinetic_coupled_pair(normalize_kinetic(kin), table, table.params, z0, zp0, kin_cfg, 3).rc
     mixed = [bool(np.any((row > 0.0) & (row < 1.0) | np.isnan(row))) for row in rc[:-1]]
     assert 0 < sum(mixed) < kin_cfg.n_steps
     assert sorted(calls) == sorted([0] * kin_cfg.n_steps + [1] * sum(mixed))
@@ -160,8 +160,8 @@ def test_row_dot_is_numpy_sum_bit_for_bit(d):
 def test_unit_or_e1_is_the_guarded_division_bit_for_bit(d):
     """delta / |delta| per row, (1, 0, ...) where the norm is 0 or nan, with
     the bits of the guarded division, on rows with positive, subnormal, zero
-    and nan norms, for C-ordered rows and for the Fortran-ordered transpose
-    that the kinetic step passes."""
+    and nan norms and on no rows, for C-ordered rows and for the
+    Fortran-ordered transpose that the kinetic step passes."""
     from nesslsi.simulate import _row_norm, _unit_or_e1
 
     def reference(delta, norm):
@@ -176,7 +176,7 @@ def test_unit_or_e1_is_the_guarded_division_bit_for_bit(d):
     norm = _row_norm(delta)
     norm[20:30] = rng.choice([5e-324, 1e-310, 2.2e-308], size=10)
     with np.errstate(invalid="ignore", over="ignore"):
-        for rows in (slice(None), slice(20, None), slice(30, None)):
+        for rows in (slice(None), slice(20, None), slice(30, None), slice(0, 0)):
             delta_r, norm_r = delta[rows], norm[rows]
             want = reference(delta_r, norm_r)
             got = _unit_or_e1(delta_r, norm_r)
@@ -443,22 +443,22 @@ def test_rc_is_zero_where_the_kinetic_step_is_synchronous(data):
 
 
 def test_kinetic_pair_equal_start_stays_identical(kinetic_bench):
-    model, params, table = kinetic_bench
+    model, table = kinetic_bench
     norm = normalize_kinetic(model)
     cfg = SimConfig(dt=1e-3, t_final=0.5, seed=14, n_smooth=1000)
     z0 = np.array([1.0, 0.0, 0.0, 0.5])
-    traj = kinetic_coupled_pair(norm, table, params, z0, z0, cfg, n_paths=4)
+    traj = kinetic_coupled_pair(norm, table, table.params, z0, z0, cfg, n_paths=4)
     np.testing.assert_array_equal(traj.z, traj.z_prime)
     np.testing.assert_allclose(traj.rc, 0.0)
 
 
 def test_kinetic_pair_far_start_in_synchronous_regime(monkeypatch, kinetic_bench):
-    model, params, table = kinetic_bench
+    model, table = kinetic_bench
     norm = normalize_kinetic(model)
     cfg = SimConfig(dt=1e-3, t_final=0.02, seed=15, n_smooth=1000)
     z0 = np.array([4.0, 0.0, 0.0, 0.0])
     zp0 = np.array([-4.0, 0.0, 0.0, 0.0])   # r = theta*8 >> r0 + 1/n
-    traj = kinetic_coupled_pair(norm, table, params, z0, zp0, cfg, n_paths=4)
+    traj = kinetic_coupled_pair(norm, table, table.params, z0, zp0, cfg, n_paths=4)
     np.testing.assert_allclose(traj.rc[0], 0.0)
     np.testing.assert_allclose(traj.rc[-1], 0.0)
     # every step starts with all pairs outside the zone, so none evaluates
@@ -468,18 +468,18 @@ def test_kinetic_pair_far_start_in_synchronous_regime(monkeypatch, kinetic_bench
                         lambda *args, _rc=simulate._rc_mixed: calls.append("rc") or _rc(*args))
     monkeypatch.setattr(simulate, "noise_normals",
                         lambda *args, _draw=noise_normals: calls.append(args[2]) or _draw(*args))
-    again = kinetic_coupled_pair(norm, table, params, z0, zp0, cfg, n_paths=4)
+    again = kinetic_coupled_pair(norm, table, table.params, z0, zp0, cfg, n_paths=4)
     assert calls == [0] * cfg.n_steps
     assert again.z_prime.tobytes() == traj.z_prime.tobytes()
 
 
 def test_kinetic_pair_rc_sc_identity(kinetic_bench):
-    model, params, table = kinetic_bench
+    model, table = kinetic_bench
     norm = normalize_kinetic(model)
     cfg = SimConfig(dt=1e-3, t_final=1.0, seed=16, n_smooth=1000)
     z0 = np.array([1.5, 0.0, 0.0, 0.0])
     zp0 = np.array([0.0, 0.5, 0.0, 0.0])
-    traj = kinetic_coupled_pair(norm, table, params, z0, zp0, cfg, n_paths=64,
+    traj = kinetic_coupled_pair(norm, table, table.params, z0, zp0, cfg, n_paths=64,
                                 record_every=50)
     assert traj.rc.max() > 0.0
     np.testing.assert_allclose(traj.rc**2 + traj.sc**2, 1.0, atol=1e-12)
@@ -488,18 +488,18 @@ def test_kinetic_pair_rc_sc_identity(kinetic_bench):
 @pytest.mark.parametrize("record_every", [1, 3, 40])   # 40 = n_steps
 def test_kinetic_pair_rc_is_that_of_recorded_states(kinetic_bench, record_every):
     """The recorded rc is rc_profile of the recorded pair, bit for bit."""
-    model, params, table = kinetic_bench
+    model, table = kinetic_bench
     cfg = SimConfig(dt=0.05, t_final=2.0, seed=43, n_smooth=5)
     z0 = np.array([1.5, 0.0, 0.0, 0.0])
     zp0 = np.array([0.0, 0.5, 0.5, -0.5])
-    traj = kinetic_coupled_pair(normalize_kinetic(model), table, params, z0, zp0, cfg,
+    traj = kinetic_coupled_pair(normalize_kinetic(model), table, table.params, z0, zp0, cfg,
                                 n_paths=6, record_every=record_every)
     delta = traj.z - traj.z_prime
     dx = delta[..., :2]
     dq = dx + delta[..., 2:]
     dqn = np.linalg.norm(dq, axis=-1)
-    r = params.theta * np.linalg.norm(dx, axis=-1) + dqn
-    np.testing.assert_array_equal(traj.rc, rc_profile(r, dqn, params.r0, cfg.n_smooth))
+    r = table.params.theta * np.linalg.norm(dx, axis=-1) + dqn
+    np.testing.assert_array_equal(traj.rc, rc_profile(r, dqn, table.params.r0, cfg.n_smooth))
     assert traj.rc.max() > 0.0
 
 
@@ -573,13 +573,13 @@ def test_mean_separation_is_the_recorded_norm_mean_and_needs_no_states(coupling)
 def test_kinetic_pair_marginal_moments_match_independent_run(kinetic_bench):
     """The reassembled Brownian motion is again a Brownian motion, so the
     second copy's marginal law equals that of a plain simulation."""
-    model, params, table = kinetic_bench
+    model, table = kinetic_bench
     norm = normalize_kinetic(model)
     cfg = SimConfig(dt=2e-3, t_final=2.0, seed=17, n_smooth=1000)
     z0 = np.array([1.5, 0.0, 0.0, 0.0])
     zp0 = np.array([0.0, 0.5, 0.5, -0.5])
     n = 4000
-    traj = kinetic_coupled_pair(norm, table, params, z0, zp0, cfg, n_paths=n,
+    traj = kinetic_coupled_pair(norm, table, table.params, z0, zp0, cfg, n_paths=n,
                                 record_every=cfg.n_steps)
     coupled_term = traj.z_prime[-1]
 

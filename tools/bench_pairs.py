@@ -21,8 +21,10 @@ the pairs in which the change's value is lower.  With ``--traced``, one
 metrics.  The file is rewritten after every pair, so a cut run keeps what
 it measured.
 
-``verdicts`` gives, per workload and end-to-end metric of ``BENCHMARK.json``
-(whose ``better`` and ``bound`` it reads):
+``verdicts`` gives, per workload and seed, ``outputs_identical``: whether
+the two sides' lists of output hashes are equal.  Per workload and
+end-to-end metric of ``BENCHMARK.json`` (whose ``better`` and ``bound`` it
+reads), it gives:
 
 * ``claim``: ``met`` when the change is better in at least nine in ten of
   all pairs, over both seeds (ties count for neither side), at each seed
@@ -123,6 +125,9 @@ def verdicts(workloads: dict, metrics: list[dict]) -> dict:
     the module docstring) from the per-seed entries written so far."""
     out = {}
     for workload, seeds in workloads.items():
+        out[workload] = {"outputs_identical": {
+            seed: entry["parent"]["hashes"] == entry["change"]["hashes"]
+            for seed, entry in seeds.items()}}
         failed = {side: [seeds[s][side]["failed"] / max(seeds[s][side]["attempted"], 1)
                          for s in seeds] for side in SIDES}
         checks_worse = any(c > p for p, c in zip(failed["parent"], failed["change"]))
@@ -151,7 +156,7 @@ def verdicts(workloads: dict, metrics: list[dict]) -> dict:
                 regression = "regressed"
             else:
                 regression = "unresolved" if spread else "ok"
-            out.setdefault(workload, {})[name] = {
+            out[workload][name] = {
                 "pairs_won": f"{won} of {total}",
                 "claim": ("met" if won >= 0.9 * total and gaps_clear and not checks_worse
                           else "not met"),
@@ -188,7 +193,8 @@ def main(argv: list[str] | None = None) -> int:
                    "summed over runs, and for each end-to-end metric the median, quartiles "
                    "(statistics.quantiles(runs, n=4)) and per-run values of the run medians "
                    "that perfbench reports; per workload and seed, <metric>_wins counts the "
-                   "pairs in which the change's value is lower; verdicts as in "
+                   "pairs in which the change's value is lower; verdicts (outputs_identical "
+                   "per workload and seed, then claim and regression per metric) as in "
                    "tools/bench_pairs.py's docstring, relative_change being the change's "
                    "median minus the parent's over the parent's, signed so that worse is "
                    "positive"),
