@@ -417,6 +417,26 @@ def test_dump_trajectories_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_dump_trajectories_harnack_golden_hash(tmp_path, capsys):
+    """The CSV of a small Harnack-coupled dump (k_w = L R = 3 on double-well)
+    reproduces its pinned bytes."""
+    import hashlib
+
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {
+        "scenario": "double-well",
+        "sim": {"dt": 1e-2, "t_final": 0.5, "seed": 25},
+        "coupling": "harnack",
+        "pair": {"x0": [1.0], "y0": [-1.0]},
+        "n_paths": 3,
+        "out_dir": str(out),
+    })
+    assert main(["dump-trajectories", "--config", cfg]) == 0
+    digest = hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest()
+    assert digest == "8c6a648233bb4c5eaf8b193665b3c40fb757aba84b9d0944d844a400f5f60277"
+    capsys.readouterr()
+
+
 _SHARED_RUN = {
     "scenario": "ou",
     "sim": {"dt": 1e-2, "t_final": 1.0, "seed": 23},
@@ -663,6 +683,17 @@ _GOLDEN_REPORTS = {
                             "t": 4.0},
         },
     },
+    # the runners that reach harnack_check, defective_lsi_check and
+    # hypercontractivity_probe
+    "verify_ergodic": {
+        "scenario": "ou",
+        "sim": {"dt": 1e-2, "t_final": 1.0, "seed": 24},
+        "estimators": {
+            "harnack": {"n_paths": 500, "pair": {"x0": [0.5], "y0": [-0.5]}},
+            "defective_lsi": {"n_replicas": 4, "samples_per_replica": 20},
+            "hypercontractivity": {"n_outer": 8, "n_inner": 1000},
+        },
+    },
     "sweep": {
         "scenario": "ou",
         "sim": {"dt": 1e-2, "t_final": 1.0, "seed": 22},
@@ -678,6 +709,7 @@ _GOLDEN_REPORTS = {
 
 GOLDEN_REPORTS = {
     "verify": "89e55a7f2752382010b84ea9bda5ae9139b4858e902310281fc88f9c763322da",
+    "verify_ergodic": "029e6151909f1384a6a0aadb70f46e849c18f0d32996d0e841c72ccc21b64663",
     "sweep": "d5fa76aeec22e7b71580a4c091ed7f94126f96573e196c373658b9a4f71ac56c",
     "sweep_rejected": "449e65aa1246220d12b19357f0030dbffe36ac65c37988a563b310a28a02d33e",
 }
@@ -690,7 +722,7 @@ def test_report_golden_hash(tmp_path, capsys, case):
     import hashlib
 
     out = tmp_path / "out"
-    command = "verify" if case == "verify" else "sweep"
+    command = "verify" if case.startswith("verify") else "sweep"
     cfg = _write(tmp_path, {**_GOLDEN_REPORTS[case], "out_dir": str(out)})
     main([command, "--config", cfg])
     report = json.loads((out / f"{command}_report.json").read_text())
