@@ -31,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .constants import (
-    ConstantsReport,
     constants_report,
     harnack_factor,
     hypercontractivity_bound,
@@ -182,17 +181,24 @@ def _state_dim(model) -> int | None:
     return 2 * model.d if isinstance(model, KineticModel) else getattr(model, "d", None)
 
 
+def _build(fn, block: dict, where: str, make=None):
+    """``make`` (by default ``fn``) called with the keyword arguments that
+    ``_check_block`` makes of ``block`` for ``fn``; a ValueError it raises
+    is a config error."""
+    kwargs = _check_block(fn, block, where)
+    try:
+        return (make or fn)(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {where} config: {exc}") from exc
+
+
 def _sim_config(cfg: dict, seed_override: int | None) -> SimConfig:
     sim = {"dt": 1e-3, "t_final": 2.0, "seed": 0, **cfg.get("sim", {})}
     if seed_override is not None:
         sim["seed"] = seed_override
     if sim.get("n_smooth") is None:
         sim.pop("n_smooth", None)
-    kwargs = _check_block(SimConfig, sim, "sim")
-    try:
-        return SimConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad sim config: {exc}") from exc
+    return _build(SimConfig, sim, "sim")
 
 
 def _model_from(cfg: dict):
@@ -204,11 +210,9 @@ def _model_from(cfg: dict):
         return None
     if not isinstance(name, str) or name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
-    kwargs = _check_block(SCENARIOS[name], cfg.get("model", {}), "model")
-    try:
-        return make_scenario(name, kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # through this module's make_scenario, so that replacing it (to trace) takes effect
+    return _build(SCENARIOS[name], cfg.get("model", {}), "model",
+                  lambda **kwargs: make_scenario(name, kwargs))
 
 
 def _finite(obj, pointer: str, replaced: dict):
@@ -271,21 +275,9 @@ def _metric_block(
                         n_smooth=math.inf if n_smooth is None else n_smooth)
 
 
-def _constants_from(cfg: dict) -> ConstantsReport | None:
-    """The constants report of the config's ``constants`` block, or None
-    when it has none; unknown keys and bad values are config errors."""
-    if "constants" not in cfg:
-        return None
-    kwargs = _check_block(constants_report, cfg["constants"], "constants")
-    try:
-        return constants_report(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad constants block: {exc}") from exc
-
-
 def cmd_constants(cfg: dict, checked: dict, out_dir: Path) -> int:
     report: dict = {"config": cfg, "versions": _versions()}
-    rep, metric = checked["constants"], checked.get("metric")
+    rep, table = checked["constants"], checked.get("metric")
     if rep is not None:
         report["constants"] = rep.to_json()
         grid = []
@@ -302,11 +294,7 @@ def cmd_constants(cfg: dict, checked: dict, out_dir: Path) -> int:
         )
         report["hypercontractivity"] = {"alpha": 2.0, "beta": 3.0, "t0": t0,
                                         "bound_at_2t0": hyper}
-    if metric is not None:
-        try:
-            table = _metric_block(**metric)
-        except ValueError as exc:
-            raise ConfigError(f"bad metric block: {exc}") from exc
+    if table is not None:
         report["metric"] = {
             "params": table.params.to_json(),
             "kappa1": table.kappa1,
@@ -611,6 +599,8 @@ def _dump_kwargs(cfg: dict, model) -> dict:
         raise ConfigError("config needs a 'scenario' entry")
     block = {key: cfg[key] for key in _DUMP_KEYS if key in cfg}
     kwargs = _check_block(_trajectories, block, "dump-trajectories", _state_dim(model))
+    if kwargs["n_paths"] < 1:
+        raise ConfigError(f"dump-trajectories: need n_paths >= 1, got {kwargs['n_paths']}")
     coupling = kwargs["coupling"]
     if coupling not in ("synchronous", "reflection", "harnack", "kinetic"):
         raise ConfigError(f"unknown coupling {coupling!r}")
@@ -636,7 +626,7 @@ def _checked_config(command: str, cfg: dict, seed: int | None) -> dict:
     that a bad key or value anywhere is a config error before anything runs.
 
     Returns the checked form of the blocks: ``sim``, ``model``,
-    ``constants`` (the report or None), ``metric`` (keyword arguments),
+    ``constants`` (the report or None), ``metric`` (the table),
     ``jobs`` ((name, params, runner kwargs) of each estimator block),
     ``sweep`` with its grid ``points``, and ``dump`` (keyword arguments).
     Under ``sweep`` the swept estimator's block is checked with each grid
@@ -649,10 +639,10 @@ def _checked_config(command: str, cfg: dict, seed: int | None) -> dict:
     if command == "sweep" and not cfg.get("sweep"):
         raise ConfigError("sweep command needs a 'sweep' block")
     model = _model_from(cfg)
-    checked = {"sim": _sim_config(cfg, seed), "model": model,
-               "constants": _constants_from(cfg)}
-    if "metric" in cfg:
-        checked["metric"] = _check_block(_metric_block, cfg["metric"], "metric")
+    checked = {"sim": _sim_config(cfg, seed), "model": model, "constants": None}
+    for key, fn in (("constants", constants_report), ("metric", _metric_block)):
+        if key in cfg:
+            checked[key] = _build(fn, cfg[key], key)
     swept = None
     if "sweep" in cfg:
         checked["sweep"] = _check_block(_sweep_points, cfg["sweep"], "sweep")

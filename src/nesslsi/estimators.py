@@ -307,6 +307,8 @@ def ergodic_sample(
     single vectorized ensemble, hence mutually independent and individually
     reproducible.
     """
+    if samples_per_replica < 1:
+        raise ValueError("need samples_per_replica >= 1")
     burn_steps = int(math.ceil(10.0 / model.rho / cfg.dt))
     thin_steps = max(int(round(1.0 / model.rho / cfg.dt)), 1)
     total_steps = burn_steps + thin_steps * samples_per_replica
@@ -331,10 +333,11 @@ def lyapunov_expectation(
     stationary copies, against the closed-form exponential-moment bound.
 
     Uses 2 * n_replicas independent trajectories paired off; replica means
-    give the standard error.
+    give the standard error.  The bound checks delta before any sampling.
     """
-    if not 0 < delta < model.rho / 4.0:
-        raise ValueError("delta must lie in (0, rho/4)")
+    if n_replicas < 2:
+        raise ValueError("need n_replicas >= 2")
+    bound = lyapunov_bound(model.lip, model.rho, model.radius, model.d, delta)
     sample = ergodic_sample(model, cfg, 2 * n_replicas, samples_per_replica, tag="lyapunov")
     xs, ys = sample[:n_replicas], sample[n_replicas:]
     vals = np.exp(delta * np.sum((xs - ys) ** 2, axis=-1))
@@ -343,7 +346,6 @@ def lyapunov_expectation(
     if not math.isfinite(value):
         raise EstimatorDiverged("running mean of exp(delta |X-Y|^2) is non-finite")
     stderr = float(rep_means.std(ddof=1) / math.sqrt(n_replicas))
-    bound = lyapunov_bound(model.lip, model.rho, model.radius, model.d, delta)
     return EstimateResult(
         value=value,
         stderr=stderr,
@@ -381,11 +383,14 @@ def harnack_check(
 
     Both semigroup values are plain ensemble averages (lhs from y, rhs from
     x, independent streams); the inequality is accepted up to the combined
-    3-sigma error.  ``f`` must be nonnegative on the sampled range.
+    3-sigma error.  ``f`` must be nonnegative on the sampled range.  The
+    factor checks alpha before any path is run.
     """
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    if n_paths < 2:
+        raise ValueError("need n_paths >= 2")
     k_w = model.lip * model.radius if k_w is None else k_w
+    dist = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+    factor = harnack_factor(k_w, model.sigma, alpha, t, dist)
     run = replace(cfg, t_final=t)
     lhs_traj = em_path(
         model, y, replace(run, seed=derive_seed(cfg.seed, "harnack-lhs")),
@@ -401,8 +406,6 @@ def harnack_check(
     fax = fx**alpha
     m_y, s_y = float(fy.mean()), float(fy.std(ddof=1) / math.sqrt(n_paths))
     m_x, s_x = float(fax.mean()), float(fax.std(ddof=1) / math.sqrt(n_paths))
-    dist = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-    factor = harnack_factor(k_w, model.sigma, alpha, t, dist)
     lhs = m_y**alpha
     lhs_stderr = alpha * m_y ** (alpha - 1.0) * s_y
     rhs = m_x * factor
@@ -468,6 +471,8 @@ def feynman_kac_h(
     """
     if system.potential is None:
         raise ValueError("feynman_kac_h needs a system with a potential")
+    if n_paths < 1:
+        raise ValueError("need n_paths >= 1")
     steps = _horizon_steps(T, cfg.dt)
     acc = np.zeros(n_paths)
     em_step = _em_step(system, cfg, CH_MAIN)
@@ -525,10 +530,13 @@ def u_lipschitz_scan(
     up to the propagated 3-sigma error; a plain Lipschitz bound L |x - y|
     is the case m_phi = 0, l_phi = L, c_prime = 1.  Log errors use the delta
     method; a relative h-standard error above 0.1 raises
-    :class:`UnstableLogError`.
+    :class:`UnstableLogError`.  The bounds are computed first.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = points.shape[0]
+    bounds = {(i, j): perturbation_bound_elliptic(
+        m_phi, l_phi, c_prime, float(np.linalg.norm(points[i] - points[j]))).total
+        for i in range(n_pts) for j in range(i + 1, n_pts)}
     u = np.empty(n_pts)
     su = np.empty(n_pts)
     for i, pt in enumerate(points):
@@ -539,17 +547,11 @@ def u_lipschitz_scan(
             raise UnstableLogError(f"relative stderr {rel:.3g} at grid point {i} exceeds 0.1")
         u[i] = math.log(est.value)
         su[i] = rel    # delta method: d(ln h) = dh / h
-    worst = math.inf
-    worst_pair = None
-    for i in range(n_pts):
-        for j in range(i + 1, n_pts):
-            dist = float(np.linalg.norm(points[i] - points[j]))
-            bound = perturbation_bound_elliptic(m_phi, l_phi, c_prime, dist).total
-            margin = bound + 3.0 * math.hypot(su[i], su[j]) - abs(u[i] - u[j])
-            if margin < worst:
-                worst, worst_pair = margin, (i, j)
-    if worst_pair is None:
-        worst = math.inf  # single-point grid: vacuous pass
+    worst, worst_pair = math.inf, None    # a single-point grid passes vacuously
+    for (i, j), bound in bounds.items():
+        margin = bound + 3.0 * math.hypot(su[i], su[j]) - abs(u[i] - u[j])
+        if margin < worst:
+            worst, worst_pair = margin, (i, j)
     return ScanReport(
         points=points, u_vals=u, u_stderr=su,
         worst_margin=float(worst), worst_pair=worst_pair, ok=bool(worst >= 0.0),
@@ -617,15 +619,17 @@ def hypercontractivity_probe(
     inner ensemble estimating P_t f.  The beta-power of a noisy inner mean
     is biased upward, so a leave-one-out jackknife value is reported as the
     estimate alongside the plug-in value, and compared to the explicit
-    hypercontractivity bound.  A t at or below the bound's t0 raises
-    ValueError before anything is sampled.
+    hypercontractivity bound.  A t at or below the bound's t0, or fewer than
+    2 outer or inner points, raises ValueError before anything is sampled.
     """
+    if n_outer < 2 or n_inner < 2:
+        raise ValueError("need n_outer >= 2 and n_inner >= 2")
     t0, bound = hypercontractivity_bound(
         model.lip, model.rho, model.radius, model.sigma, model.d, alpha, beta, t
     )
     if n_inner < 1000:
         warnings.warn("n_inner < 1000: inner-mean bias may dominate", stacklevel=2)
-    n_rep = max(min(n_outer, 64), 1)
+    n_rep = min(n_outer, 64)
     per_rep = int(math.ceil(n_outer / n_rep))
     ys = ergodic_sample(model, cfg, n_rep, per_rep, tag="hyper-outer")
     ys = ys.reshape(-1, model.d)[:n_outer]
@@ -694,6 +698,8 @@ def defective_lsi_check(
     Each replica produces one normalized (lhs, rhs) pair; the flag compares
     the mean gap to its 3-sigma replica error.
     """
+    if n_replicas < 2:
+        raise ValueError("need n_replicas >= 2")
     xs = ergodic_sample(model, cfg, n_replicas, samples_per_replica, tag="dlsi")
     fv = f(xs.reshape(-1, model.d)).reshape(n_replicas, samples_per_replica)
     gv = grad_f(xs.reshape(-1, model.d)).reshape(n_replicas, samples_per_replica, model.d)

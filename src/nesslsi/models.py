@@ -317,8 +317,6 @@ def normalize_kinetic(model: KineticModel) -> KineticModel:
     L_i -> L_i max(1, 1/gamma)/gamma.
     """
     gamma = model.gamma
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     if gamma == 1.0:
         return model
 

@@ -437,6 +437,86 @@ def test_dump_trajectories_harnack_golden_hash(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_dump_trajectories_rejects_n_paths_below_1(tmp_path, capsys, n_paths):
+    """A dump of no paths is a config error under --dry-run and in the run
+    alike, before any CSV is written."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {
+        "scenario": "ou", "model": {"d": 1}, "sim": {"dt": 0.1, "t_final": 0.3, "seed": 1},
+        "coupling": "reflection", "n_paths": n_paths, "out_dir": str(out),
+    })
+    for flags in (["--dry-run"], []):
+        assert main(["dump-trajectories", "--config", cfg, *flags]) == 2
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count(f"config error: dump-trajectories: need n_paths >= 1, got {n_paths}") == 2
+
+
+# A count below the least one that defines the estimator's result, the
+# message it gives, and the key a sweep over it varies.
+_COUNT_MINIMUMS = [
+    pytest.param("lyapunov", {"n_replicas": 1}, "need n_replicas >= 2", id="lyapunov-n_replicas"),
+    pytest.param("lyapunov", {"samples_per_replica": 0}, "need samples_per_replica >= 1",
+                 id="ergodic-samples_per_replica"),
+    pytest.param("defective_lsi", {"n_replicas": 1}, "need n_replicas >= 2",
+                 id="defective_lsi-n_replicas"),
+    pytest.param("hypercontractivity", {"n_outer": 1}, "need n_outer >= 2 and n_inner >= 2",
+                 id="hypercontractivity-n_outer"),
+    pytest.param("hypercontractivity", {"n_inner": 1}, "need n_outer >= 2 and n_inner >= 2",
+                 id="hypercontractivity-n_inner"),
+    pytest.param("harnack", {"n_paths": 1}, "need n_paths >= 2", id="harnack-n_paths"),
+    pytest.param("fk_const", {"n_paths": 0}, "need n_paths >= 1", id="fk_const-n_paths"),
+]
+
+
+@pytest.mark.parametrize("name, params, message", _COUNT_MINIMUMS)
+def test_count_that_leaves_the_result_undefined_is_rejected_before_any_path(
+        tmp_path, capsys, monkeypatch, name, params, message):
+    """A count too small for a mean or a standard error is a config error
+    under verify (exit 2, no report) and a rejected grid point under sweep;
+    either way no path is simulated."""
+    from nesslsi import estimators
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(estimators, "em_path", must_not_run)
+    monkeypatch.setattr(estimators, "_integrate", must_not_run)
+    out = tmp_path / "out"
+    base = {"scenario": "ou", "sim": {"dt": 0.01, "t_final": 1.0, "seed": 3}}
+    cfg = _write(tmp_path, {**base, "estimators": {name: params}, "out_dir": str(out)})
+    assert main(["verify", "--config", cfg]) == 2
+    assert not out.exists()
+    assert f"config error: {name}: {message}" in capsys.readouterr().err
+    ((key, value),) = params.items()
+    cfg = _write(tmp_path, {**base, "sweep": {"estimator": name, "parameter": key,
+                                              "values": [value]}, "out_dir": str(out)},
+                 name="sweep.json")
+    assert main(["sweep", "--config", cfg]) == 1
+    (record,) = json.loads((out / "sweep_report.json").read_text())["records"]
+    assert record["error"] == f"ValueError: {message}" and record["flag"] is False
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("metric, code", [
+    ({"k_matrix": [[1.0, 2.0], [0.0, 1.0]]}, 2),                 # K must be symmetric
+    ({"k_matrix": [[2.0, 0.0], [0.0, 2.0]], "radius": 1.0}, 3),  # QuadratureError
+])
+def test_metric_block_that_cannot_be_built_exits_alike_under_dry_run(
+        tmp_path, capsys, metric, code):
+    """The metric table is built while the config is checked, so --dry-run
+    exits with the code of the run, and neither writes a report."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {"metric": metric, "out_dir": str(out)})
+    assert main(["constants", "--config", cfg, "--dry-run"]) == code
+    assert main(["constants", "--config", cfg]) == code
+    assert not out.exists()
+    err = capsys.readouterr().err
+    prefix = "config error: bad metric config: " if code == 2 else "runtime abort: "
+    assert err.count(prefix) == 2
+
+
 _SHARED_RUN = {
     "scenario": "ou",
     "sim": {"dt": 1e-2, "t_final": 1.0, "seed": 23},

@@ -305,6 +305,32 @@ def test_harnack_rejects_f_negative_on_the_rhs_sample(ou1):
                       0.1, 1000, cfg)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a path was simulated before the arguments were checked")
+
+
+def test_closed_forms_check_their_arguments_before_the_first_path(ou1, monkeypatch):
+    """The Lyapunov bound checks delta, the Harnack factor alpha and the
+    perturbation bound c_prime, m_phi and l_phi before any path is run."""
+    from nesslsi import estimators
+
+    for name in ("ergodic_sample", "em_path", "feynman_kac_h"):
+        monkeypatch.setattr(estimators, name, _must_not_run)
+    cfg = SimConfig(dt=1e-2, t_final=1.0, seed=28)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, rho/4\)"):
+        lyapunov_expectation(ou1, 0.25, cfg)
+    f = lambda s: np.exp(s[..., 0])
+    with pytest.raises(ValueError, match="alpha must exceed 1"):
+        harnack_check(ou1, f, 1.0, np.array([0.5]), np.array([-0.5]), 1.0, 100, cfg)
+    sys_ = elliptic_fk_system(lambda s: -s, lambda s: np.zeros(s.shape[:-1]), 1)
+    points = np.array([[0.0], [1.0]])
+    for kwargs, match in (({"c_prime": 0.0}, "c_prime must be positive"),
+                          ({"c_prime": 1.0, "m_phi": -1.0}, "nonnegative"),
+                          ({"c_prime": 1.0, "l_phi": -1.0}, "nonnegative")):
+        with pytest.raises(ValueError, match=match):
+            u_lipschitz_scan(sys_, points, 1.0, 100, cfg, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Feynman-Kac
 # ---------------------------------------------------------------------------

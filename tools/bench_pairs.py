@@ -16,7 +16,9 @@ seed and side the number of runs, the output hashes, the failed and
 attempted checks summed over the runs, and for each end-to-end metric the
 median, the quartiles (``statistics.quantiles(runs, n=4)``) and the per-run
 values of the run medians that perfbench reports.  ``<metric>_wins`` counts
-the pairs in which the change's value is lower.  With ``--traced``, one
+the pairs in which the change's value is lower.  ``src_lines`` gives, per
+side, the newlines in ``src/nesslsi/*.py`` of its export (the total that
+``wc -l`` prints).  With ``--traced``, one
 ``--trace 1`` run per side, workload and seed adds the named per-layer
 metrics.  The file is rewritten after every pair, so a cut run keeps what
 it measured.
@@ -74,6 +76,11 @@ def export(rev: str, dest: Path) -> None:
     with tarfile.open(tar_path) as tar:
         tar.extractall(dest, filter="data")
     tar_path.unlink()
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in ``src/nesslsi/*.py`` under ``checkout``."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "nesslsi").glob("*.py"))
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -205,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: work / side for side in SIDES}
         for side in SIDES:
             export(revs[side], checkouts[side])
+        bench["src_lines"] = {side: src_lines(checkouts[side]) for side in SIDES}
         for workload in WORKLOADS:
             for seed in SEEDS:
                 runs = {side: [] for side in SIDES}
