@@ -530,7 +530,7 @@ def u_lipschitz_scan(
     up to the propagated 3-sigma error; a plain Lipschitz bound L |x - y|
     is the case m_phi = 0, l_phi = L, c_prime = 1.  Log errors use the delta
     method; a relative h-standard error above 0.1 raises
-    :class:`UnstableLogError`.  The bounds are computed first.
+    :class:`UnstableLogError`.  A bad bound argument raises before any path.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = points.shape[0]
