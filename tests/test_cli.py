@@ -437,6 +437,27 @@ def test_dump_trajectories_harnack_golden_hash(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_dump_trajectories_kinetic_golden_hash(tmp_path, capsys):
+    """The CSV of a small kinetic dump (both copies in one Fortran-ordered
+    state, every step recorded) reproduces its pinned bytes."""
+    import hashlib
+
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {
+        "scenario": "kinetic-quadratic",
+        "model": {"d": 2, "gamma": 1.0, "radius": 1.0},
+        "sim": {"dt": 1e-2, "t_final": 0.5, "seed": 28, "n_smooth": 100},
+        "coupling": "kinetic",
+        "pair": {"x0": [0.3, -0.2, 0.1, 0.0], "y0": [-0.3, 0.2, 0.0, 0.1]},
+        "n_paths": 5,
+        "out_dir": str(out),
+    })
+    assert main(["dump-trajectories", "--config", cfg]) == 0
+    digest = hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest()
+    assert digest == "ecae7b82ffb9f1727175b1578c9b3c1bb8e55ae198f28a9e1487dc4145cbad07"
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("n_paths", [0, -1])
 def test_dump_trajectories_rejects_n_paths_below_1(tmp_path, capsys, n_paths):
     """A dump of no paths is a config error under --dry-run and in the run
