@@ -15,6 +15,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass, asdict, replace
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from .simulate import (
     SimConfig,
     _as_batch,
     _em_step,
+    _em_two_level_step,
     _horizon_steps,
     _integrate,
     _record_index,
@@ -45,6 +47,7 @@ from .simulate import (
     noise_normals,
     reflection_pair,
     synchronous_pair,
+    system_of,
 )
 
 __all__ = [
@@ -230,9 +233,7 @@ def w1_contraction(
 
     envelope_ok = rho0 = None
     if kind == "kinetic":
-        z0b = traj.z[0]
-        zp0b = traj.z_prime[0]
-        rho0 = float(np.mean(rho_star(table, z0b, zp0b)))
+        rho0 = float(np.mean(rho_star(table, traj.z[0], traj.z_prime[0])))
         envelope = table.c1 * np.exp(-table.kappa * times) * rho0
         envelope_ok = bool(np.all(mean_dist <= (1.0 + slack) * envelope))
     return W1Report(
@@ -278,9 +279,7 @@ def coalescence_probability(
     # fit only where decay has started: an all-alive prefix carries no
     # information about the c e^{-kappa t}/t shape
     pos = (survival > 0) & (survival < 1) & (times > 0)
-    fit = None
-    envelope_factor = None
-    envelope_ok = None
+    fit = envelope_factor = envelope_ok = None
     if pos.sum() >= 3:
         # p_t ~ c exp(-kappa t)/t  <=>  ln(p_t t) = ln c - kappa t
         fit = fit_exponential_rate(times[pos], survival[pos] * times[pos])
@@ -346,13 +345,8 @@ def lyapunov_expectation(
     if not math.isfinite(value):
         raise EstimatorDiverged("running mean of exp(delta |X-Y|^2) is non-finite")
     stderr = float(rep_means.std(ddof=1) / math.sqrt(n_replicas))
-    return EstimateResult(
-        value=value,
-        stderr=stderr,
-        n_samples=int(vals.size),
-        seed=cfg.seed,
-        bound=bound,
-    )
+    return EstimateResult(value=value, stderr=stderr, n_samples=int(vals.size), seed=cfg.seed,
+                          bound=bound)
 
 
 @dataclass(frozen=True)
@@ -502,14 +496,8 @@ class ScanReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "u_vals": self.u_vals.tolist(),
-            "u_stderr": self.u_stderr.tolist(),
-            "worst_margin": self.worst_margin,
-            "worst_pair": self.worst_pair,
-            "ok": self.ok,
-        }
+        arrays = ("points", "u_vals", "u_stderr")
+        return {**asdict(self), **{k: getattr(self, k).tolist() for k in arrays}}
 
 
 def u_lipschitz_scan(
@@ -592,15 +580,18 @@ class HyperProbeResult:
     closed_bound: float
     t0: float
     ok: bool
+    levels: tuple[dict, ...]
+    dt_bias: dict | None
 
     def to_json(self) -> dict:
-        return {
-            "ratio": self.ratio.to_json(),
-            "ratio_plugin": self.ratio_plugin,
-            "closed_bound": self.closed_bound,
-            "t0": self.t0,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ratio": self.ratio.to_json()}
+
+
+def _level(dt: float, corr: np.ndarray) -> dict:
+    """A probe level's dt, point count, and correction mean and stderr."""
+    n = corr.size
+    return {"dt": dt, "n_points": n, "mean": float(corr.mean()) if n else math.nan,
+            "stderr": float(corr.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan}
 
 
 def hypercontractivity_probe(
@@ -615,12 +606,19 @@ def hypercontractivity_probe(
 ) -> HyperProbeResult:
     """Nested Monte Carlo estimate of |P_t f|_beta / |f|_alpha.
 
-    Outer points are ergodic samples of the invariant measure; each feeds an
-    inner ensemble estimating P_t f.  The beta-power of a noisy inner mean
-    is biased upward, so a leave-one-out jackknife value is reported as the
-    estimate alongside the plug-in value, and compared to the explicit
-    hypercontractivity bound.  A t at or below the bound's t0, or fewer than
-    2 outer or inner points, raises ValueError before anything is sampled.
+    Outer points are ergodic samples of the invariant measure (up to 256
+    replicas); each feeds an inner ensemble estimating P_t f, whose noisy
+    beta-power is corrected by a leave-one-out jackknife value J (clipped at
+    0; the plug-in value is reported beside it).  The inner ensembles are
+    multilevel, in the coupled-sum form of Rhee and Glynn (2015): with n
+    steps of cfg.dt to t, L is the largest l <= 3 with 2^l | n and
+    n/2^l >= 64; every point runs J at dt 2^L and, with probability
+    q_l = 4^-l, level l: J at dt 2^(L-l) minus J at twice that step on the
+    same Brownian paths, over q_l.  The per-point sum has the mean of J at
+    dt and stands for J in the mean and its stderr.  ``levels`` records the
+    unweighted corrections (J at level 0); ``dt_bias``, the top level's,
+    estimates E J(dt) - E J(2 dt).  A t at or below the bound's t0, or
+    fewer than 2 outer or inner points, raises ValueError before sampling.
     """
     if n_outer < 2 or n_inner < 2:
         raise ValueError("need n_outer >= 2 and n_inner >= 2")
@@ -629,7 +627,7 @@ def hypercontractivity_probe(
     )
     if n_inner < 1000:
         warnings.warn("n_inner < 1000: inner-mean bias may dominate", stacklevel=2)
-    n_rep = min(n_outer, 64)
+    n_rep = min(n_outer, 256)
     per_rep = int(math.ceil(n_outer / n_rep))
     ys = ergodic_sample(model, cfg, n_rep, per_rep, tag="hyper-outer")
     ys = ys.reshape(-1, model.d)[:n_outer]
@@ -637,17 +635,41 @@ def hypercontractivity_probe(
     f_alpha_vals = np.abs(f(ys)) ** alpha
     norm_alpha = float(f_alpha_vals.mean()) ** (1.0 / alpha)
 
-    inner_cfg = replace(cfg, t_final=t, seed=derive_seed(cfg.seed, "hyper-inner"))
-    tiled = np.repeat(ys, n_inner, axis=0)
-    term = em_path(
-        model, tiled, inner_cfg, n_paths=n_outer * n_inner, record_every=inner_cfg.n_steps
-    ).terminal
-    vals = f(term).reshape(n_outer, n_inner)
-    p_hat = vals.mean(axis=1)
-    plug = p_hat**beta
-    loo = (p_hat[:, None] * n_inner - vals) / (n_inner - 1.0)
-    jack = n_inner * plug - (n_inner - 1.0) * np.mean(np.abs(loo) ** beta, axis=1)
-    jack = np.maximum(jack, 0.0)
+    def moments(term):
+        """Per point: the clipped jackknife beta-moment and the plug-in."""
+        vals = f(term).reshape(-1, n_inner)
+        p_hat = vals.mean(axis=1)
+        plug = p_hat**beta
+        loo = (p_hat[:, None] * n_inner - vals) / (n_inner - 1.0)
+        jack = n_inner * plug - (n_inner - 1.0) * np.mean(np.abs(loo) ** beta, axis=1)
+        return np.maximum(jack, 0.0), plug
+
+    n = _horizon_steps(t, cfg.dt)
+    L = max(lv for lv in range(4) if lv == 0 or n % 2**lv == 0 and n >> lv >= 64)
+    seed = derive_seed(cfg.seed, "hyper-inner")
+    inner_cfg = replace(cfg, dt=cfg.dt * 2**L, t_final=t, seed=seed)
+    term = em_path(model, np.repeat(ys, n_inner, axis=0), inner_cfg,
+                   n_paths=n_outer * n_inner, record_every=inner_cfg.n_steps).terminal
+    jack, plug = moments(term)
+    levels = [_level(inner_cfg.dt, jack)]
+    u = noise_normals(seed, 0, CH_AUX, (n_outer,)) if L else None
+    for level in range(1, L + 1):
+        q = 4.0**-level
+        pts = np.flatnonzero(u < NormalDist().inv_cdf(q))
+        lvl_cfg = replace(cfg, dt=cfg.dt * 2 ** (L - level + 1), t_final=t,
+                          seed=derive_seed(cfg.seed, f"hyper-inner-{level}"))
+        corr = np.empty(0)
+        if pts.size:
+            x = np.repeat(ys[pts], n_inner, axis=0)
+            _, fine, coarse, *_ = _integrate(
+                lvl_cfg, _em_two_level_step(system_of(model), lvl_cfg, CH_MAIN), x, x.copy(),
+                record_every=lvl_cfg.n_steps, keep_states=False,
+            )
+            (j_f, p_f), (j_c, p_c) = moments(fine[-1]), moments(coarse[-1])
+            corr = j_f - j_c
+            jack[pts] += corr / q
+            plug[pts] += (p_f - p_c) / q
+        levels.append(_level(0.5 * lvl_cfg.dt, corr))
 
     mean_jack = float(jack.mean())
     if mean_jack <= 0:
@@ -666,7 +688,8 @@ def hypercontractivity_probe(
     )
     return HyperProbeResult(
         ratio=est, ratio_plugin=float(ratio_plugin), closed_bound=bound, t0=t0,
-        ok=bool(ratio <= bound + 3.0 * stderr),
+        ok=bool(ratio <= bound + 3.0 * stderr), levels=tuple(levels),
+        dt_bias={"value": levels[-1]["mean"], "stderr": levels[-1]["stderr"]} if L else None,
     )
 
 

@@ -317,7 +317,11 @@ def _integrate(
     n_steps = cfg.n_steps if n_steps is None else n_steps
     rec = _record_index(n_steps, record_every)
     last = rec.size - 1
-    xs = np.empty((rec.size if keep_states else min(rec.size, 2),) + x.shape)
+    buf = (rec.size if keep_states else min(rec.size, 2),)
+    # a column-major state (the kinetic pair's halves) is recorded so, along the
+    # paths; below 8 columns numpy sums a row in one order in either layout
+    f_order = x.strides[0] < x.strides[1] and x.shape[1] < 8
+    xs = np.empty(buf + x.shape[::-1]).transpose(0, 2, 1) if f_order else np.empty(buf + x.shape)
     ys = sep = None
     if y is not None:
         ys, sep = np.empty_like(xs), np.empty(rec.size)
@@ -451,6 +455,26 @@ def _em_step(sys_: SdeSystem, cfg: SimConfig, channel: int) -> Callable:
         xi = noise_normals(seed, k, channel, (x.shape[0], noise_dim))
         xi *= scale
         return _add_noise(_drift_step(drift, x, dt), xi, nd), y, None
+
+    return step
+
+
+def _em_two_level_step(sys_: SdeSystem, cfg: SimConfig, channel: int) -> Callable:
+    """Step k of a fine copy x at dt/2 and a coarse copy y at dt = cfg.dt
+    on one Brownian path: x takes the normals of fine steps 2k and 2k + 1
+    (x is then bit for bit ``em_path`` at dt/2), y takes their sum."""
+    nd, h, drift = sys_.dim - sys_.noise_dim, 0.5 * cfg.dt, sys_.drift
+    scale = sys_.noise_scale * math.sqrt(h)
+
+    def step(k, x, y, active):
+        shape = (x.shape[0], sys_.noise_dim)
+        xi = [noise_normals(cfg.seed, 2 * k + i, channel, shape) for i in (0, 1)]
+        dw = xi[0] + xi[1]
+        dw *= scale
+        for z in xi:
+            z *= scale
+            x = _add_noise(_drift_step(drift, x, h), z, nd)
+        return x, _add_noise(_drift_step(drift, y, cfg.dt), dw, nd), None
 
     return step
 

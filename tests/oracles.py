@@ -40,6 +40,16 @@ def clipped_exp_expectation(mean: float, var: float, cap: float) -> float:
     ) + math.exp(cap) * norm.sf((cap - mean) / s)
 
 
+def ou_euler_moment(c: float, x0: float, dt: float, n: int, rate: float = 1.0,
+                    sigma: float = math.sqrt(2.0)) -> float:
+    """E exp(c X_n) for the Euler chain X_{k+1} = a X_k + sigma sqrt(dt) xi_k
+    of the OU process, a = 1 - rate dt, started at x0: X_n is normal with
+    mean a^n x0 and variance sigma^2 dt (1 - a^(2n)) / (1 - a^2)."""
+    a = 1.0 - rate * dt
+    var = sigma**2 * dt * (1.0 - a ** (2 * n)) / (1.0 - a * a)
+    return gaussian_exp_moment(c, a**n * x0, var)
+
+
 def ou_hyper_ratio(c: float, alpha: float, beta: float, t: float) -> float:
     """|P_t f|_beta / |f|_alpha for f = exp(c x) under the standard OU
     semigroup (rate 1, noise sqrt(2), stationary N(0,1))."""

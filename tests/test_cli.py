@@ -810,7 +810,7 @@ _GOLDEN_REPORTS = {
 
 GOLDEN_REPORTS = {
     "verify": "89e55a7f2752382010b84ea9bda5ae9139b4858e902310281fc88f9c763322da",
-    "verify_ergodic": "029e6151909f1384a6a0aadb70f46e849c18f0d32996d0e841c72ccc21b64663",
+    "verify_ergodic": "8f870db599cd0a64a8d5b65a1243009c898b96658c4d72cc7b784ad6f9224c6e",
     "sweep": "d5fa76aeec22e7b71580a4c091ed7f94126f96573e196c373658b9a4f71ac56c",
     "sweep_rejected": "449e65aa1246220d12b19357f0030dbffe36ac65c37988a563b310a28a02d33e",
 }

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from nesslsi import SimConfig, make_scenario
 from nesslsi.models import (
     EllipticModel, KineticModel, arctan_kernel, derive_elliptic_fields, normalize_kinetic,
 )
-from nesslsi.simulate import reflection_pair
+from nesslsi.simulate import derive_seed, reflection_pair
 from nesslsi.estimators import (
     UnstableLogError,
     WeightOverflowError,
@@ -509,6 +510,8 @@ def test_hyper_probe_constant_function(ou1):
                                    n_outer=32, n_inner=1000, cfg=cfg)
     assert abs(res.ratio.value - 1.0) < 1e-12
     assert res.ok
+    # every inner statistic is exactly 1, so every level correction is 0
+    assert all(lv["mean"] == 0.0 for lv in res.levels[1:] if lv["n_points"])
 
 
 def test_hyper_probe_matches_gaussian_closed_form(ou1):
@@ -519,6 +522,45 @@ def test_hyper_probe_matches_gaussian_closed_form(ou1):
     closed = ou_hyper_ratio(c, 2.0, 3.0, 6.0)
     assert abs(res.ratio.value - closed) <= 3.0 * res.ratio.stderr
     assert res.ok   # ratio below the explicit bound at t = 2 t0
+
+
+def test_hyper_probe_with_an_odd_step_count_runs_one_level(ou1, monkeypatch):
+    """An odd number of inner steps admits no coarser level: the probe draws
+    exactly n_steps inner normals on channel 0, besides the outer sample's."""
+    from nesslsi import estimators, simulate
+
+    draws = []
+    for module in (simulate, estimators):
+        def counting(*args, _draw=module.noise_normals):
+            draws.append(args[:3])
+            return _draw(*args)
+
+        monkeypatch.setattr(module, "noise_normals", counting)
+    cfg = SimConfig(dt=1e-2, t_final=1.0, seed=34)
+    t = 6.07
+    n_steps = replace(cfg, t_final=t).n_steps
+    assert n_steps % 2 == 1
+    res = hypercontractivity_probe(ou1, lambda s: np.exp(0.5 * s[..., 0]), 2.0, 3.0, t,
+                                   n_outer=4, n_inner=1000, cfg=cfg)
+    inner = derive_seed(cfg.seed, "hyper-inner")
+    assert sorted(d for d in draws if d[0] == inner) == [(inner, k, 0) for k in range(n_steps)]
+    outer = derive_seed(cfg.seed, "hyper-outer")
+    assert all(d[0] == outer and d[2] == 0 for d in draws if d[0] != inner)
+    assert [lv["dt"] for lv in res.levels] == [cfg.dt]
+    assert res.dt_bias is None
+
+
+@pytest.mark.filterwarnings("ignore:n_inner < 1000")
+@pytest.mark.parametrize("scenario", ["double-well", "rotating"])
+def test_hyper_probe_levels_stay_stable_on_nonconvex_scenarios(scenario):
+    """At dt 1e-2 and t = 6 the probe runs four levels, the coarsest at
+    dt 0.08, and no Euler copy blows up."""
+    model = make_scenario(scenario, {})
+    cfg = SimConfig(dt=1e-2, t_final=1.0, seed=35)
+    res = hypercontractivity_probe(model, lambda s: np.exp(0.25 * s[..., 0]), 2.0, 3.0, 6.0,
+                                   n_outer=64, n_inner=64, cfg=cfg)
+    assert [lv["dt"] for lv in res.levels] == [0.08, 0.04, 0.02, 0.01]
+    assert math.isfinite(res.ratio.value) and math.isfinite(res.ratio.stderr)
 
 
 def test_hyper_probe_raises_at_t_up_to_t0_before_sampling(ou1, monkeypatch):

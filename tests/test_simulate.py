@@ -24,7 +24,7 @@ from nesslsi.simulate import (
     reflection_pair,
     synchronous_pair,
 )
-from oracles import ou_transition, rk4_ode, scalar_radial_sde
+from oracles import ou_euler_moment, ou_transition, rk4_ode, scalar_radial_sde
 
 
 def test_noise_per_path_stable_under_ensemble_size():
@@ -102,6 +102,10 @@ def test_every_draw_goes_through_the_module_noise_normals(monkeypatch, kinetic_b
         "reflection_pair": (lambda: reflection_pair(ou, x0, y0, cfg, 3), (0,)),
         "harnack_pair": (lambda: harnack_pair(ou, x0, y0, cfg, 0.5, None, 3), (0,)),
         "feynman_kac_h": (lambda: feynman_kac_h(fk, x0, cfg.t_final, 3, cfg), (0,)),
+        # two fine draws a coarse step
+        "_em_two_level_step": (lambda: simulate._integrate(
+            cfg, simulate._em_two_level_step(simulate.system_of(ou), cfg, 0),
+            np.tile(x0, (3, 1)), np.tile(x0, (3, 1))), (0, 0)),
     }
     for name, (run, channels) in runs.items():
         calls.clear()
@@ -251,6 +255,44 @@ def test_em_weak_order_one_common_noise(ou1):
     diffs = [abs(means[0] - means[2]), abs(means[1] - means[2])]
     order = math.log(diffs[0] / diffs[1]) / math.log(dts[0] / dts[1])
     assert order >= 0.8
+
+
+def test_two_level_step_fine_copy_is_em_path_and_coarse_copy_sums_normals():
+    """The fine copy of the two-level step is ``em_path`` at dt/2 bit for
+    bit; the coarse copy is a plain-loop Euler run at dt on the sums of the
+    fine steps' normals."""
+    model = make_scenario("rotating", {})
+    cfg = SimConfig(dt=0.1, t_final=1.2, seed=32)
+    x0 = np.array([[0.3, -1.2], [2.0, 0.5], [-0.7, 0.0], [0.0, 0.0], [1.1, 1.9]])
+    _, fine, coarse, *_ = simulate._integrate(
+        cfg, simulate._em_two_level_step(simulate.system_of(model), cfg, 0),
+        x0.copy(), x0.copy(), record_every=3)
+    want = em_path(model, x0, replace(cfg, dt=cfg.dt / 2), n_paths=5, record_every=6)
+    np.testing.assert_array_equal(fine, want.states)
+    y, scale = x0.copy(), model.sigma * math.sqrt(cfg.dt / 2)
+    for k in range(cfg.n_steps):
+        dw = noise_normals(cfg.seed, 2 * k, 0, (5, 2)) + noise_normals(cfg.seed, 2 * k + 1, 0, (5, 2))
+        y = y + model.drift(y) * cfg.dt + scale * dw
+        if (k + 1) % 3 == 0:
+            np.testing.assert_array_equal(coarse[(k + 1) // 3], y)
+    assert not np.array_equal(fine[-1], coarse[-1])
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.04, 0.08])
+def test_two_level_step_moments_match_the_ou_euler_chain(ou1, dt):
+    """Both copies of the two-level step have the law of their own Euler
+    chain: the mean of exp(c X_T), fine (dt/2) and coarse (dt), each within
+    3 stderr of its closed form."""
+    c, x0, n_paths = 0.5, 1.0, 40_000
+    cfg = SimConfig(dt=dt, t_final=1.6, seed=33)
+    x = np.full((n_paths, 1), x0)
+    _, fine, coarse, *_ = simulate._integrate(
+        cfg, simulate._em_two_level_step(simulate.system_of(ou1), cfg, 0), x, x.copy(),
+        record_every=cfg.n_steps, keep_states=False)
+    for term, step, n in ((fine[-1], dt / 2, 2 * cfg.n_steps), (coarse[-1], dt, cfg.n_steps)):
+        vals = np.exp(c * term[:, 0])
+        stderr = vals.std(ddof=1) / math.sqrt(n_paths)
+        assert abs(vals.mean() - ou_euler_moment(c, x0, step, n)) <= 3.0 * stderr, step
 
 
 def test_synchronous_ou_difference_decays_exactly(ou1):
