@@ -15,7 +15,6 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass, asdict, replace
-from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -653,6 +652,7 @@ def hypercontractivity_probe(
     jack, plug = moments(term)
     levels = [_level(inner_cfg.dt, jack)]
     u = noise_normals(seed, 0, CH_AUX, (n_outer,)) if L else None
+    from statistics import NormalDist    # imported here: it loads decimal and random
     for level in range(1, L + 1):
         q = 4.0**-level
         pts = np.flatnonzero(u < NormalDist().inv_cdf(q))

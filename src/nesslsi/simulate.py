@@ -318,8 +318,9 @@ def _integrate(
     rec = _record_index(n_steps, record_every)
     last = rec.size - 1
     buf = (rec.size if keep_states else min(rec.size, 2),)
-    # a column-major state (the kinetic pair's halves) is recorded so, along the
-    # paths; below 8 columns numpy sums a row in one order in either layout
+    # record slots follow a column-major state's layout (the kinetic pair's
+    # halves), so a record copies along the paths; a row of under 8 columns
+    # sums in one order in either layout (see _sum_rows), so norms keep bits
     f_order = x.strides[0] < x.strides[1] and x.shape[1] < 8
     xs = np.empty(buf + x.shape[::-1]).transpose(0, 2, 1) if f_order else np.empty(buf + x.shape)
     ys = sep = None
