@@ -232,7 +232,9 @@ def w1_contraction(
 
     envelope_ok = rho0 = None
     if kind == "kinetic":
-        rho0 = float(np.mean(rho_star(table, traj.z[0], traj.z_prime[0])))
+        z0b = traj.z[0]
+        zp0b = traj.z_prime[0]
+        rho0 = float(np.mean(rho_star(table, z0b, zp0b)))
         envelope = table.c1 * np.exp(-table.kappa * times) * rho0
         envelope_ok = bool(np.all(mean_dist <= (1.0 + slack) * envelope))
     return W1Report(
@@ -278,7 +280,9 @@ def coalescence_probability(
     # fit only where decay has started: an all-alive prefix carries no
     # information about the c e^{-kappa t}/t shape
     pos = (survival > 0) & (survival < 1) & (times > 0)
-    fit = envelope_factor = envelope_ok = None
+    fit = None
+    envelope_factor = None
+    envelope_ok = None
     if pos.sum() >= 3:
         # p_t ~ c exp(-kappa t)/t  <=>  ln(p_t t) = ln c - kappa t
         fit = fit_exponential_rate(times[pos], survival[pos] * times[pos])
@@ -344,8 +348,13 @@ def lyapunov_expectation(
     if not math.isfinite(value):
         raise EstimatorDiverged("running mean of exp(delta |X-Y|^2) is non-finite")
     stderr = float(rep_means.std(ddof=1) / math.sqrt(n_replicas))
-    return EstimateResult(value=value, stderr=stderr, n_samples=int(vals.size), seed=cfg.seed,
-                          bound=bound)
+    return EstimateResult(
+        value=value,
+        stderr=stderr,
+        n_samples=int(vals.size),
+        seed=cfg.seed,
+        bound=bound,
+    )
 
 
 @dataclass(frozen=True)
@@ -495,8 +504,14 @@ class ScanReport:
     ok: bool
 
     def to_json(self) -> dict:
-        arrays = ("points", "u_vals", "u_stderr")
-        return {**asdict(self), **{k: getattr(self, k).tolist() for k in arrays}}
+        return {
+            "points": self.points.tolist(),
+            "u_vals": self.u_vals.tolist(),
+            "u_stderr": self.u_stderr.tolist(),
+            "worst_margin": self.worst_margin,
+            "worst_pair": self.worst_pair,
+            "ok": self.ok,
+        }
 
 
 def u_lipschitz_scan(
@@ -610,8 +625,10 @@ def hypercontractivity_probe(
     beta-power is corrected by a leave-one-out jackknife value J (clipped at
     0; the plug-in value is reported beside it).  The inner ensembles are
     multilevel, in the coupled-sum form of Rhee and Glynn (2015): with n
-    steps of cfg.dt to t, L is the largest l <= 3 with 2^l | n and
-    n/2^l >= 64; every point runs J at dt 2^L and, with probability
+    steps of cfg.dt to t, L is the largest l <= 3 with 2^l | n,
+    n/2^l >= 64 and 2^l dt K <= 1, K the drift's largest secant slope
+    between neighbouring outer points; every point runs J at dt 2^L and,
+    with probability
     q_l = 4^-l, level l: J at dt 2^(L-l) minus J at twice that step on the
     same Brownian paths, over q_l.  The per-point sum has the mean of J at
     dt and stands for J in the mean and its stderr.  ``levels`` records the
@@ -643,8 +660,15 @@ def hypercontractivity_probe(
         jack = n_inner * plug - (n_inner - 1.0) * np.mean(np.abs(loo) ** beta, axis=1)
         return np.maximum(jack, 0.0), plug
 
+    # no level's Euler step may overshoot: 2^L dt K <= 1, with K the drift's
+    # largest secant slope between neighbouring outer points
+    b = model.drift(ys)
+    gap = np.linalg.norm(ys - np.roll(ys, 1, axis=0), axis=1)
+    db = np.linalg.norm(b - np.roll(b, 1, axis=0), axis=1)
+    stiff = float(np.divide(db, gap, out=np.zeros_like(db), where=gap > 0).max())
     n = _horizon_steps(t, cfg.dt)
-    L = max(lv for lv in range(4) if lv == 0 or n % 2**lv == 0 and n >> lv >= 64)
+    L = max(lv for lv in range(4) if lv == 0 or n % 2**lv == 0 and n >> lv >= 64
+            and 2**lv * cfg.dt * stiff <= 1.0)
     seed = derive_seed(cfg.seed, "hyper-inner")
     inner_cfg = replace(cfg, dt=cfg.dt * 2**L, t_final=t, seed=seed)
     term = em_path(model, np.repeat(ys, n_inner, axis=0), inner_cfg,

@@ -317,12 +317,7 @@ def _integrate(
     n_steps = cfg.n_steps if n_steps is None else n_steps
     rec = _record_index(n_steps, record_every)
     last = rec.size - 1
-    buf = (rec.size if keep_states else min(rec.size, 2),)
-    # record slots follow a column-major state's layout (the kinetic pair's
-    # halves), so a record copies along the paths; a row of under 8 columns
-    # sums in one order in either layout (see _sum_rows), so norms keep bits
-    f_order = x.strides[0] < x.strides[1] and x.shape[1] < 8
-    xs = np.empty(buf + x.shape[::-1]).transpose(0, 2, 1) if f_order else np.empty(buf + x.shape)
+    xs = np.empty((rec.size if keep_states else min(rec.size, 2),) + x.shape)
     ys = sep = None
     if y is not None:
         ys, sep = np.empty_like(xs), np.empty(rec.size)

@@ -563,6 +563,24 @@ def test_hyper_probe_levels_stay_stable_on_nonconvex_scenarios(scenario):
     assert math.isfinite(res.ratio.value) and math.isfinite(res.ratio.stderr)
 
 
+@pytest.mark.filterwarnings("ignore:n_inner < 1000")
+def test_hyper_probe_levels_stop_where_the_euler_step_would_overshoot():
+    """OU at rate 30: the Euler factor a = 1 - 30 dt is 0.7 at dt 1e-2, but
+    dt 0.04 overshoots (a < 0) and dt 0.08 diverges (|a| > 1), so the probe
+    runs one correction level, from 2 dt, and matches the Euler chain's closed form: P_t f is about constant at
+    t = 6, so the ratio is exp((1 - alpha) c^2 v / 2), v its stationary
+    variance."""
+    model = make_scenario("ou", {"rate": 30.0})
+    cfg = SimConfig(dt=1e-2, t_final=1.0, seed=36)
+    c, alpha = 0.25, 2.0
+    res = hypercontractivity_probe(model, lambda s: np.exp(c * s[..., 0]), alpha, 3.0, 6.0,
+                                   n_outer=256, n_inner=64, cfg=cfg)
+    assert [lv["dt"] for lv in res.levels] == [0.02, 0.01]
+    v = 2.0 * cfg.dt / (1.0 - (1.0 - 30.0 * cfg.dt) ** 2)
+    closed = math.exp((1.0 - alpha) * c * c * v / 2.0)
+    assert res.ok and abs(res.ratio.value - closed) <= 3.0 * res.ratio.stderr
+
+
 def test_hyper_probe_raises_at_t_up_to_t0_before_sampling(ou1, monkeypatch):
     """No bound exists for t <= t0 (t0 is about 3 for ou1 at alpha = 2,
     beta = 3), so the probe raises before it draws any noise."""
