@@ -16,11 +16,11 @@ bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import EllipticModel
+from .models import EllipticModel, _Record
 
 __all__ = [
     "ConstantsReport",
@@ -45,7 +45,7 @@ _L_SMALL = 1e-12
 
 
 @dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(_Record):
     """All explicit constants for one elliptic parameter set."""
 
     A: float
@@ -64,9 +64,6 @@ class ConstantsReport:
     sigma: float
     d: int
     alpha_ext: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def harnack_factor(k_w: float, sigma: float, alpha: float, t: float, dist: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +27,8 @@ from .constants import (
 )
 from .metric import MetricTable, rho_star
 from .models import (
-    CompetitionKernel, EllipticModel, KineticModel, _central_divergence, make_competition_drift,
+    CompetitionKernel, EllipticModel, KineticModel, _central_divergence, _Record,
+    make_competition_drift,
 )
 from .simulate import (
     CH_AUX,
@@ -90,7 +91,7 @@ class WeightOverflowError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(_Record):
     """Point estimate with Monte Carlo error and an optional attached bound."""
 
     value: float
@@ -112,23 +113,17 @@ class EstimateResult:
         return self.value <= self.bound + self.half_width
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        out["half_width"] = self.half_width
-        out["passed"] = self.passed
-        return out
+        return {**super().to_json(), "half_width": self.half_width, "passed": self.passed}
 
 
 @dataclass(frozen=True)
-class RateFit:
+class RateFit(_Record):
     """Log-linear least-squares fit m_t ~ c_hat * exp(-kappa_hat t)."""
 
     c_hat: float
     kappa_hat: float
     residual: float
     window: tuple[float, float]
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def fit_exponential_rate(times: Sequence[float], means: Sequence[float]) -> RateFit:
@@ -358,16 +353,13 @@ def lyapunov_expectation(
 
 
 @dataclass(frozen=True)
-class HarnackCheck:
+class HarnackCheck(_Record):
     lhs: float
     rhs: float
     lhs_stderr: float
     rhs_stderr: float
     factor: float
     ok: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def harnack_check(
@@ -495,23 +487,13 @@ def feynman_kac_h(
 
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     points: np.ndarray
     u_vals: np.ndarray
     u_stderr: np.ndarray
     worst_margin: float
     worst_pair: tuple[int, int] | None
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "u_vals": self.u_vals.tolist(),
-            "u_stderr": self.u_stderr.tolist(),
-            "worst_margin": self.worst_margin,
-            "worst_pair": self.worst_pair,
-            "ok": self.ok,
-        }
 
 
 def u_lipschitz_scan(
@@ -588,7 +570,7 @@ def mollified_split(u_vals: np.ndarray, xs: np.ndarray, eps: float) -> tuple[flo
 
 
 @dataclass(frozen=True)
-class HyperProbeResult:
+class HyperProbeResult(_Record):
     ratio: EstimateResult
     ratio_plugin: float
     closed_bound: float
@@ -596,9 +578,6 @@ class HyperProbeResult:
     ok: bool
     levels: tuple[dict, ...]
     dt_bias: dict | None
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "ratio": self.ratio.to_json()}
 
 
 def _level(dt: float, corr: np.ndarray) -> dict:
@@ -718,14 +697,11 @@ def hypercontractivity_probe(
 
 
 @dataclass(frozen=True)
-class DefectiveLsiCheck:
+class DefectiveLsiCheck(_Record):
     lhs: float
     rhs: float
     margin_stderr: float
     ok: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def defective_lsi_check(
@@ -794,15 +770,12 @@ def wasserstein2_subsampled(
 
 
 @dataclass(frozen=True)
-class MckvReport:
+class MckvReport(_Record):
     w2_distances: list[float]
     converged: bool
     probe_stat: float
     probe_ok: bool
     mean_abs: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def mckv_fixed_point(

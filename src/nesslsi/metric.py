@@ -38,6 +38,8 @@ from typing import Callable
 
 import numpy as np
 
+from .models import _Record
+
 __all__ = [
     "MetricParams",
     "MetricTable",
@@ -54,7 +56,7 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MetricParams:
+class MetricParams(_Record):
     """Closed-form constants of the coupling metric."""
 
     theta: float
@@ -68,13 +70,6 @@ class MetricParams:
     lip_outer: float
     radius: float
     k_matrix: np.ndarray
-
-    def to_json(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "theta", "eta", "lam", "r0", "kappa2", "k_min", "k_norm",
-            "lip_inner", "lip_outer", "radius")}
-        out["k_matrix"] = np.asarray(self.k_matrix).tolist()
-        return out
 
 
 def metric_constants(

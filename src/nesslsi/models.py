@@ -20,7 +20,7 @@ operations here are pure, so instances can be shared freely across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -43,6 +43,17 @@ __all__ = [
 Drift = Callable[[np.ndarray], np.ndarray]
 
 _CHECK_TOL = 1e-10
+
+
+class _Record:
+    """The one JSON form of a result dataclass: its fields in order, an array
+    as a list, a nested record as its own JSON form, anything else as it is."""
+
+    def to_json(self) -> dict:
+        def form(v):
+            return v.tolist() if isinstance(v, np.ndarray) else (
+                v.to_json() if isinstance(v, _Record) else v)
+        return {f.name: form(getattr(self, f.name)) for f in fields(self)}
 
 
 def _check_points(d: int, seed: int = 1234, n: int = 64, scale: float = 2.0) -> np.ndarray:
