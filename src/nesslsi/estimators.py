@@ -675,8 +675,8 @@ def hypercontractivity_probe(
         levels.append(_level(0.5 * lvl_cfg.dt, corr))
 
     mean_jack = float(jack.mean())
-    if mean_jack <= 0:
-        raise EstimatorDiverged("jackknife-corrected beta-moment is nonpositive")
+    if not mean_jack > 0:  # a nan from overflowing f too
+        raise EstimatorDiverged("jackknife-corrected beta-moment is not positive")
     ratio = mean_jack ** (1.0 / beta) / norm_alpha
     ratio_plugin = float(plug.mean()) ** (1.0 / beta) / norm_alpha
     # delta method on ln ratio from outer spreads of both moments

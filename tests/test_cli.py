@@ -298,6 +298,24 @@ def test_verify_runtime_abort_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("ignore:n_inner < 1000", "ignore::RuntimeWarning")
+def test_verify_hyper_probe_overflow_is_a_runtime_abort(tmp_path, capsys):
+    """A nan ratio from an overflowing f aborts the record (exit 3) instead
+    of reporting FAIL (exit 1) with a nan in every number."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {
+        "scenario": "ou", "sim": {"dt": 0.01, "t_final": 1.0, "seed": 3},
+        "estimators": {"hypercontractivity": {"c": 300, "n_outer": 64, "n_inner": 4, "t": 7}},
+        "out_dir": str(out),
+    })
+    assert main(["verify", "--config", cfg]) == 3
+    report = json.loads((out / "verify_report.json").read_text())
+    record = report["records"][0]
+    assert record["aborted"] and "EstimatorDiverged" in record["error"]
+    assert "non_finite" not in report
+    capsys.readouterr()
+
+
 def test_quadrature_error_is_a_runtime_abort(tmp_path, capsys, monkeypatch):
     """A metric quadrature that cannot converge exits 3 from ``constants``
     and aborts its record under ``verify``."""

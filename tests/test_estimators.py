@@ -11,6 +11,7 @@ from nesslsi.models import (
 )
 from nesslsi.simulate import derive_seed, reflection_pair
 from nesslsi.estimators import (
+    EstimatorDiverged,
     UnstableLogError,
     WeightOverflowError,
     coalescence_probability,
@@ -579,6 +580,16 @@ def test_hyper_probe_levels_stop_where_the_euler_step_would_overshoot():
     v = 2.0 * cfg.dt / (1.0 - (1.0 - 30.0 * cfg.dt) ** 2)
     closed = math.exp((1.0 - alpha) * c * c * v / 2.0)
     assert res.ok and abs(res.ratio.value - closed) <= 3.0 * res.ratio.stderr
+
+
+@pytest.mark.filterwarnings("ignore:n_inner < 1000", "ignore::RuntimeWarning")
+def test_hyper_probe_raises_when_f_overflows_on_the_inner_paths(ou1):
+    """f = e^{300 x} overflows on the inner paths, so J = inf - inf is nan:
+    not a positive moment, so the probe diverges instead of reporting nan."""
+    cfg = SimConfig(dt=1e-2, t_final=1.0, seed=3)
+    with pytest.raises(EstimatorDiverged, match="not positive"):
+        hypercontractivity_probe(ou1, lambda s: np.exp(300.0 * s[..., 0]), 2.0, 3.0, 7.0,
+                                 n_outer=64, n_inner=4, cfg=cfg)
 
 
 def test_hyper_probe_raises_at_t_up_to_t0_before_sampling(ou1, monkeypatch):
