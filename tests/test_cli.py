@@ -74,6 +74,9 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+    bad.write_text("[1, 2]")
+    assert main(["constants", "--config", str(bad), "--out", str(out)]) == 2
+    assert "config root must be a JSON object" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -107,12 +110,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         {"estimators": {"one_sided": 64}},
         {"sweep": [1, 2]},
         {"estimators": {"w1_synchronous": {"n_paths": 10}}},
+        {"estimators": {"coalescence": {"n_paths": 10}}},
     ]):
         cfg = _write(tmp_path, {**base, **patch}, name=f"block{i}.json")
         assert main(["verify", "--config", cfg]) == 2, patch
         assert not (tmp_path / "out").exists(), patch
     err = capsys.readouterr().err
     assert "config error: w1_synchronous: need n_paths >= 1000" in err
+    assert "config error: coalescence: need n_paths >= 1000" in err
     assert "config error: bad sim config: dt and t_final must be positive and finite" in err
 
 
@@ -313,6 +318,29 @@ def test_verify_hyper_probe_overflow_is_a_runtime_abort(tmp_path, capsys):
     record = report["records"][0]
     assert record["aborted"] and "EstimatorDiverged" in record["error"]
     assert "non_finite" not in report
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:n_inner < 1000")
+def test_null_optional_estimator_key_is_the_omitted_key(tmp_path, capsys):
+    """An explicit null for an optional estimator key gives the numbers of
+    the omitted key: lyapunov's delta and the probe's t take their defaults."""
+    small = {"lyapunov": {"n_replicas": 8, "samples_per_replica": 40},
+             "hypercontractivity": {"n_outer": 16, "n_inner": 8}}
+    nulls = {"lyapunov": {"delta": None}, "hypercontractivity": {"t": None}}
+    records = []
+    for i, extra in enumerate(({}, nulls)):
+        out = tmp_path / f"out{i}"
+        cfg = _write(tmp_path, {
+            "scenario": "ou", "sim": {"dt": 0.01, "t_final": 1.0, "seed": 11},
+            "estimators": {k: {**v, **extra.get(k, {})} for k, v in small.items()},
+            "out_dir": str(out),
+        }, name=f"null{i}.json")
+        assert main(["verify", "--config", cfg]) == 0
+        records.append(json.loads((out / "verify_report.json").read_text())["records"])
+    omitted, null = records
+    assert [r["params"] for r in null] == [{**small[k], **nulls[k]} for k in small]
+    assert [{**r, "params": None} for r in omitted] == [{**r, "params": None} for r in null]
     capsys.readouterr()
 
 
@@ -738,6 +766,20 @@ _KINETIC_DUMP = {"scenario": "kinetic-quadratic", "model": {"d": 1},
     pytest.param("dump-trajectories", {**_KINETIC_DUMP, "n_paths": "x"}, id="dump-n-paths"),
     pytest.param("dump-trajectories", {**_KINETIC_DUMP, "pair": {"x0": [1.0, 0.0]}},
                  id="dump-pair-keys"),
+    pytest.param("constants", {"sim": {"dt": 0.1}}, id="constants-no-block"),
+    pytest.param("verify", {"scenario": "ou"}, id="verify-no-estimators"),
+    pytest.param("sweep", _OU_ONE_SIDED, id="sweep-no-sweep"),
+    pytest.param("verify", {"model": {"d": 1}, "estimators": {"one_sided": {"n_pairs": 64}}},
+                 id="model-no-scenario"),
+    pytest.param("verify", {**_OU_ONE_SIDED, "scenario": "ornstein"}, id="unknown-scenario"),
+    pytest.param("sweep", {"scenario": "ou", "sweep": {"estimator": "lyapunov",
+                                                       "parameter": "delta", "values": 0.1}},
+                 id="sweep-values-not-list"),
+    pytest.param("constants", {"metric": {"k_matrix": 1.0}}, id="metric-k-matrix-not-list"),
+    pytest.param("dump-trajectories", {"sim": {"dt": 1e-2, "t_final": 0.5, "seed": 1},
+                                       "coupling": "synchronous"}, id="dump-no-scenario"),
+    pytest.param("dump-trajectories", {**_KINETIC_DUMP, "coupling": "brownian"},
+                 id="dump-coupling-unknown"),
     # a block the command does not read is checked all the same
     pytest.param("verify", {**_OU_ONE_SIDED, "metric": {"k_matrixx": 1}},
                  id="verify-metric-key"),

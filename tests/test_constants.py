@@ -153,6 +153,13 @@ def test_sup_inner_drift_expanding_field_is_zero():
     assert np.allclose(arg, 0.0)
 
 
+def test_sup_inner_drift_at_zero_radius_is_zero_at_the_origin():
+    m = make_scenario("rotating", {})
+    val, arg = sup_inner_drift(m, 0.0)
+    assert val == 0.0
+    np.testing.assert_array_equal(arg, np.zeros(2))
+
+
 def test_sup_inner_drift_rotation_is_orthogonal():
     # rotating drift with V = 0: -x.b(x) = |x|^2, maximized on the boundary
     m = make_scenario("rotating", {"f_const": 1.0, "v_amp": 0.0})

@@ -231,6 +231,9 @@ def test_degenerate_radius_zero():
     assert t.kappa == params.kappa2
     assert t.c1 == math.sqrt(2.0) / params.lam
     assert t.eps == 1.0
+    r = np.array([0.0, 0.5, 3.0])
+    np.testing.assert_array_equal(t.g(r), np.ones(3))
+    np.testing.assert_array_equal(t.f(r), np.zeros(3))
     z = np.array([1.0, 0.0, 0.0, -1.0])
     zp = np.zeros(4)
     dx, dv = z[:2], z[2:]

@@ -91,6 +91,17 @@ def test_fd_divergence_matches_closed_form_cubic():
     np.testing.assert_allclose(fields.phi(x), want, atol=1e-6)
 
 
+def test_derive_fields_without_b1_has_zero_phi():
+    """With no split declared, phi is 0 and b_tilde = 2 grad log mu_0 - b."""
+    drift = lambda x: np.stack([-x[..., 0] - x[..., 1], x[..., 0] - x[..., 1]], axis=-1)
+    m = EllipticModel(d=2, drift=drift, sigma=math.sqrt(2.0), rho=1.0,
+                      grad_log_ref=lambda x: -x)
+    fields = derive_elliptic_fields(m)
+    x = np.random.default_rng(6).standard_normal((50, 2))
+    np.testing.assert_array_equal(fields.phi(x), np.zeros(50))
+    np.testing.assert_array_equal(fields.b_tilde(x), 2.0 * -x - drift(x))
+
+
 def test_derive_fields_requires_reference():
     m = EllipticModel(d=1, drift=lambda x: -x, sigma=1.0, rho=1.0)
     with pytest.raises(ValueError, match="grad_log_ref"):

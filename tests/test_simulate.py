@@ -323,6 +323,32 @@ def test_synchronous_double_well_matches_ode_oracle():
     assert abs(got - expected) / expected < 0.01
 
 
+@pytest.mark.parametrize("coupling", [synchronous_pair, reflection_pair])
+def test_merged_rows_written_into_a_fortran_ordered_state(coupling, monkeypatch):
+    """A drift that returns Fortran-ordered arrays makes the state Fortran-
+    ordered, so merged rows go through the plain a[idx] = rows branch of
+    _put_rows; the run equals the C-ordered one bit for bit."""
+    orders = []
+
+    def put_rows(a, idx, rows, _put=simulate._put_rows):
+        orders.append(a.flags.c_contiguous)
+        return _put(a, idx, rows)
+
+    monkeypatch.setattr(simulate, "_put_rows", put_rows)
+    cfg = SimConfig(dt=0.5, t_final=3.0, seed=5)
+    x0, y0 = np.array([1.0, 0.5]), np.array([1.0 + 3e-8, 0.5])
+    runs = []
+    for drift in (lambda x: -x, lambda x: np.asfortranarray(-x)):
+        orders.clear()
+        model = EllipticModel(d=2, drift=drift, sigma=math.sqrt(2.0), rho=1.0)
+        runs.append(coupling(model, x0, y0, cfg, n_paths=6))
+    assert False in orders
+    c_run, f_run = runs
+    assert np.isfinite(c_run.merge_time).any()
+    for name in ("z", "z_prime", "merge_time"):
+        np.testing.assert_array_equal(getattr(f_run, name), getattr(c_run, name))
+
+
 def test_reflection_equal_start_merges_immediately(ou1):
     cfg = SimConfig(dt=1e-2, t_final=0.5, seed=4)
     traj = reflection_pair(ou1, np.array([0.3]), np.array([0.3]), cfg, n_paths=4)
