@@ -76,17 +76,15 @@ def unrun(tree: ast.Module, ran: set[int]) -> list[ast.stmt]:
     """The statements of tree that never ran, in source order."""
     missed: list[ast.stmt] = []
 
-    def visit(stmts: list[ast.stmt], in_body_of_def: bool) -> bool:
+    def visit(stmts: list[ast.stmt], may_have_docstring: bool) -> bool:
         """Report the unrun statements of stmts; return whether any ran."""
         any_ran = False
         for i, node in enumerate(stmts):
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
-                    and isinstance(node.value.value, str) and i == 0 and in_body_of_def:
+                    and isinstance(node.value.value, str) and i == 0 and may_have_docstring:
                 continue  # docstring
             if isinstance(node, _SKIPPED):
-                body = getattr(node, "body", [])
-                visit(body, isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                              ast.ClassDef)))
+                visit(getattr(node, "body", []), True)  # a def or class body
                 continue
             children = _children(node)
             if children:
@@ -112,7 +110,7 @@ def main() -> int:
         lines = source.splitlines()
         missed = unrun(ast.parse(source), ran.get(str(path), set()))
         total += len(missed)
-        print(f"{path.relative_to(ROOT)}: {len(missed)} statements never ran")
+        print(f"{path.relative_to(ROOT)}: {len(missed)} never ran")
         for node in missed:
             print(f"  {node.lineno}: {lines[node.lineno - 1].strip()}")
     print(f"total: {total} statements never ran")
