@@ -455,12 +455,6 @@ def _estimator_kwargs(name: str, params: dict, model) -> dict:
     return _check_block(runner, params, name, _state_dim(model))
 
 
-def _run_estimator(name: str, params: dict, kwargs: dict, model, sim: SimConfig) -> dict:
-    """Run one estimator; returns a record with a tri-state flag
-    (True/False = checked against a bound, None = informational)."""
-    return {"estimator": name, "params": params, **_ESTIMATORS[name][1](model, sim, **kwargs)}
-
-
 def _exit_code(records: list[dict]) -> int:
     """Exit 3 if a record was aborted at runtime, else 1 if a checked flag
     is False, else 0."""
@@ -469,23 +463,36 @@ def _exit_code(records: list[dict]) -> int:
     return EXIT_VIOLATION if any(r.get("flag") is False for r in records) else EXIT_OK
 
 
-def cmd_verify(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
-    sim, model, constants, jobs = (checked[k] for k in ("sim", "model", "constants", "jobs"))
-    t_start = time.perf_counter()
+def _run_jobs(jobs, model, sim: SimConfig, threads: int, rejects: tuple = ()) -> list[dict]:
+    """The records of the (name, params, runner kwargs) ``jobs``, in order,
+    run on ``threads`` worker threads; each has a tri-state flag (True/False
+    = checked against a bound, None = informational).  A runtime abort is
+    recorded with ``"aborted": true``, an exception in ``rejects`` without
+    it, and any other ValueError (an argument the estimator rejects) is a
+    config error."""
 
     def run(job):
         name, params, kwargs = job
         try:
-            return _run_estimator(name, params, kwargs, model, sim)
-        except _RUNTIME_ABORTS as exc:
-            return {"estimator": name, "params": params, "flag": False,
-                    "error": f"{type(exc).__name__}: {exc}", "aborted": True}
+            return {"estimator": name, "params": params,
+                    **_ESTIMATORS[name][1](model, sim, **kwargs)}
+        except _RUNTIME_ABORTS + rejects as exc:
+            rec = {"estimator": name, "params": params, "flag": False,
+                   "error": f"{type(exc).__name__}: {exc}"}
+            if isinstance(exc, _RUNTIME_ABORTS):
+                rec["aborted"] = True
+            return rec
         except ValueError as exc:
-            # an argument the estimator rejects is an error in the config
             raise ConfigError(f"{name}: {exc}") from exc
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        records = list(pool.map(run, jobs))
+        return list(pool.map(run, jobs))
+
+
+def cmd_verify(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
+    sim, model, constants, jobs = (checked[k] for k in ("sim", "model", "constants", "jobs"))
+    t_start = time.perf_counter()
+    records = _run_jobs(jobs, model, sim, threads)
 
     flags = {r["estimator"]: r.get("flag") for r in records}
     checked = [v for v in flags.values() if v is not None]
@@ -509,9 +516,9 @@ def cmd_verify(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
             cols = list(series)
             rows = zip(*(series[c] for c in cols))
             _write_csv(out_dir, f"{r['estimator']}_series.csv", cols, rows)
-    for name, flag in flags.items():
-        status = {True: "pass", False: "FAIL", None: "info"}[flag]
-        print(f"{status:5s}  {name}")
+    words = {True: "pass", False: "FAIL", None: "info"}
+    for r in records:
+        print(f"{'ABORT' if r.get('aborted') else words[r.get('flag')]:5s}  {r['estimator']}")
     return _exit_code(records)
 
 
@@ -537,22 +544,11 @@ def _sweep_points(cfg: dict, model, /, *, estimator: str, parameter: str,
 def cmd_sweep(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
     sim, model, sweep, points = (checked[k] for k in ("sim", "model", "sweep", "points"))
     name = sweep["estimator"]
-
-    def run(point):
-        value, params, kwargs = point
-        try:
-            rec = _run_estimator(name, params, kwargs, model, sim)
-        except _RUNTIME_ABORTS + (ValueError,) as exc:
-            # a grid point the estimator rejects or aborts is recorded, and the sweep goes on
-            rec = {"estimator": name, "params": params, "flag": False,
-                   "error": f"{type(exc).__name__}: {exc}"}
-            if isinstance(exc, _RUNTIME_ABORTS):
-                rec["aborted"] = True
+    # a grid point the estimator rejects or aborts is recorded, and the sweep goes on
+    records = _run_jobs([(name, params, kwargs) for _, params, kwargs in points],
+                        model, sim, threads, rejects=(ValueError,))
+    for rec, (value, _, _) in zip(records, points):
         rec["sweep_value"] = value
-        return rec
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        records = list(pool.map(run, points))
 
     report = {"config": cfg, "versions": _versions(), "records": records}
     _write_json(out_dir, "sweep_report.json", report)

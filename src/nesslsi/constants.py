@@ -230,7 +230,6 @@ class PerturbationBound:
     bounded_part: float
     lipschitz_slope: float
     total: float
-    t_used: float
 
 
 def perturbation_bound_elliptic(
@@ -250,11 +249,11 @@ def perturbation_bound_elliptic(
         raise ValueError("m_phi, l_phi, dist must be nonnegative")
     if m_phi == 0.0 or dist == 0.0:
         # limit t -> 0: only the Lipschitz term survives
-        return PerturbationBound(0.0, c_prime * l_phi, c_prime * l_phi * dist, 0.0)
+        return PerturbationBound(0.0, c_prime * l_phi, c_prime * l_phi * dist)
     t_star = math.sqrt(c_prime * dist)
     total = 4.0 * m_phi * math.sqrt(c_prime * dist) + c_prime * l_phi * dist
     return PerturbationBound(
-        2.0 * m_phi * t_star, c_prime * (2.0 * m_phi / t_star + l_phi), total, t_star
+        2.0 * m_phi * t_star, c_prime * (2.0 * m_phi / t_star + l_phi), total
     )
 
 

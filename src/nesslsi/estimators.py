@@ -241,7 +241,6 @@ def w1_contraction(
 class CoalescenceReport:
     times: np.ndarray
     survival: np.ndarray          # P[X_t != Y_t]
-    fit: RateFit | None
     envelope_factor: float | None
     envelope_ok: bool | None
 
@@ -275,7 +274,6 @@ def coalescence_probability(
     # fit only where decay has started: an all-alive prefix carries no
     # information about the c e^{-kappa t}/t shape
     pos = (survival > 0) & (survival < 1) & (times > 0)
-    fit = None
     envelope_factor = None
     envelope_ok = None
     if pos.sum() >= 3:
@@ -284,10 +282,8 @@ def coalescence_probability(
         model_curve = fit.c_hat * np.exp(-fit.kappa_hat * times[pos]) / times[pos]
         envelope_factor = float(np.max(survival[pos] / model_curve))
         envelope_ok = bool(envelope_factor <= math.exp(3.0 * fit.residual) + 1e-9)
-    return CoalescenceReport(
-        times=times, survival=survival, fit=fit,
-        envelope_factor=envelope_factor, envelope_ok=envelope_ok,
-    )
+    return CoalescenceReport(times=times, survival=survival,
+                             envelope_factor=envelope_factor, envelope_ok=envelope_ok)
 
 
 def ergodic_sample(

@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately computed through routes disjoint from the
-package code: closed forms, dense-grid quadrature, a Crank-Nicolson PDE
-solver, plain-loop scalar SDE simulation with numpy's default bit
-generator, and classical ODE integration.
+package code: closed forms, matrix exponentials, dense-grid quadrature, a
+Crank-Nicolson PDE solver, plain-loop scalar SDE simulation with numpy's
+default bit generator, and classical ODE integration.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import expm
 from scipy.stats import norm
 
 
@@ -147,6 +148,33 @@ def crank_nicolson_h(b, phi, x_lo: float, x_hi: float, nx: int, T: float, nt: in
         rhs_vec = h + 0.5 * dt * apply_a(h)
         h = sla.solve_banded((1, 1), lhs, rhs_vec)
     return xs, h
+
+
+# ---------------------------------------------------------------------------
+# linear kinetic diffusion dX = V dt, dV = (-KX - V) dt + sqrt(2) dB
+# ---------------------------------------------------------------------------
+# Started from two points dz apart, the two laws at time t are translates of
+# one Gaussian, and so are the laws of the two Euler-Maruyama chains: the
+# Wasserstein-1 distance between them is the length of the translation.
+
+
+def _kinetic_generator(K) -> np.ndarray:
+    """A = [[0, I], [-K, -I]], the drift matrix of (X, V)."""
+    K = np.asarray(K, dtype=float)
+    d = K.shape[0]
+    return np.block([[np.zeros((d, d)), np.eye(d)], [-K, -np.eye(d)]])
+
+
+def gaussian_kinetic_w1(K, dz, t: float) -> float:
+    """W1 at time t of the diffusion: |e^{tA} dz|."""
+    return float(np.linalg.norm(expm(t * _kinetic_generator(K)) @ dz))
+
+
+def gaussian_kinetic_w1_euler(K, dz, dt: float, n_steps: int) -> float:
+    """W1 after n_steps Euler steps of size dt: |(I + dt A)^n dz|."""
+    A = _kinetic_generator(K)
+    step = np.eye(A.shape[0]) + dt * A
+    return float(np.linalg.norm(np.linalg.matrix_power(step, n_steps) @ dz))
 
 
 # ---------------------------------------------------------------------------

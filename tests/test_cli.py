@@ -300,7 +300,31 @@ def test_verify_runtime_abort_exits_3(tmp_path, capsys):
         assert main(["verify", "--config", cfg]) == 3
         report = json.loads((out / "verify_report.json").read_text())
         assert "error" in report["records"][0]
+        name = next(iter(payload["estimators"]))
+        assert capsys.readouterr().out.splitlines() == [f"ABORT  {name}"]
+
+
+@pytest.mark.parametrize("name, params, dt", [
+    ("one_sided", {"n_pairs": 64}, 1e-3),
+    ("fk_const", {"c": 500.0, "t": 2.0, "n_paths": 16}, 1e-2),
+])
+def test_verify_and_sweep_build_the_same_record(tmp_path, capsys, name, params, dt):
+    """A verify block and a one-point sweep grid with the same params give
+    the same record, on a passing job and on one that aborts at runtime."""
+    key = next(iter(params))
+    base = {"scenario": "ou", "sim": {"dt": dt, "t_final": 2.0, "seed": 1},
+            "estimators": {name: params}}
+    sweep = {"estimator": name, "parameter": key, "values": [params[key]]}
+    records, codes = {}, set()
+    for command, extra in (("verify", {}), ("sweep", {"sweep": sweep})):
+        out = tmp_path / command
+        cfg = _write(tmp_path, {**base, **extra, "out_dir": str(out)}, name=f"{command}.json")
+        codes.add(main([command, "--config", cfg]))
+        (records[command],) = json.loads((out / f"{command}_report.json").read_text())["records"]
     capsys.readouterr()
+    assert records["sweep"].pop("sweep_value") == params[key]
+    assert records["verify"] == records["sweep"]
+    assert codes == {3 if "aborted" in records["verify"] else 0}
 
 
 @pytest.mark.filterwarnings("ignore:n_inner < 1000", "ignore::RuntimeWarning")

@@ -15,6 +15,7 @@ from nesslsi.metric import build_metric, metric_constants, rho_star
 from nesslsi.models import KineticModel, normalize_kinetic
 from nesslsi.simulate import SdeSystem, SimConfig, em_path, kinetic_coupled_pair
 from nesslsi.estimators import w1_contraction
+from oracles import gaussian_kinetic_w1, gaussian_kinetic_w1_euler
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +121,28 @@ def test_marginal_moments_match_independent_simulation(anisotropic_setup):
             a, b = coup[:, k] ** power, indep[:, k] ** power
             se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
             assert abs(a.mean() - b.mean()) <= 3.0 * se + 1e-3, (k, power)
+
+
+def test_coupled_distance_between_exact_w1_and_envelope(kinetic_bench):
+    """On kinetic-quadratic the two copies' laws are translates of one
+    Gaussian, for the diffusion and for its Euler chain alike, so their W1
+    distance is the length of the translation.  No coupling's mean distance
+    is below the Euler chain's W1, and the metric envelope
+    C1 e^{-kappa t} rho(z0, z0') is above the diffusion's."""
+    model, table = kinetic_bench
+    cfg = SimConfig(dt=0.01, t_final=5.0, seed=105, n_smooth=1000)
+    z0, zp0 = np.array([3.0, 0.0, 0.0, 0.0]), np.array([-2.0, 1.0, 0.5, -0.5])
+    n = 2000
+    traj = kinetic_coupled_pair(model, table, table.params, z0, zp0, cfg,
+                                n_paths=n, record_every=25)
+    dist = np.linalg.norm(traj.z - traj.z_prime, axis=-1)
+    mean, stderr = dist.mean(axis=1), dist.std(axis=1, ddof=1) / math.sqrt(n)
+    steps = np.rint(traj.times / cfg.dt).astype(int)
+    euler = np.array([gaussian_kinetic_w1_euler(model.k_matrix, z0 - zp0, cfg.dt, k)
+                      for k in steps])
+    exact = np.array([gaussian_kinetic_w1(model.k_matrix, z0 - zp0, t) for t in traj.times])
+    assert np.all(np.abs(euler / exact - 1.0) <= 0.03)
+    # the 1e-12 term absorbs rounding at t = 0, where every path has the same separation
+    assert np.all(mean >= euler - 3.0 * stderr - 1e-12 * euler)
+    envelope = table.c1 * np.exp(-table.kappa * traj.times) * float(rho_star(table, z0, zp0))
+    assert np.all(envelope >= exact)

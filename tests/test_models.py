@@ -251,6 +251,26 @@ def test_probe_flags_misdeclared_rho(ou1):
     assert rep.violated
 
 
+def test_probe_inside_verdict_and_a_side_without_pairs():
+    """b(x) = x - x^3 has the ratio 1 - (x^2 + xy + y^2): at most 1, and at
+    most -1.25 at separations of R = 3 and more.  A misdeclared lip is
+    flagged on the inside; with R beyond every sampled separation the
+    outside has no pairs, and its maximum -inf passes."""
+    def probe(**declared):
+        model = EllipticModel(d=1, drift=lambda x: x - x**3, sigma=math.sqrt(2.0),
+                              rho=1.0, **declared)
+        return probe_one_sided_condition(model, n_pairs=4096, seed=0)
+
+    rep = probe(lip=0.5, radius=3.0)
+    assert rep.violated
+    assert abs(rep.max_ratio_inside - 0.9987) < 5e-5
+    assert abs(rep.max_ratio_outside + 1.444) < 5e-4
+    assert not probe(lip=1.0, radius=3.0).violated
+    rep = probe(lip=1.0, radius=100.0)
+    assert rep.max_ratio_outside == -math.inf
+    assert not rep.violated
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     gamma=st.floats(0.1, 5.0),
