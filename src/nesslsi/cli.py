@@ -529,15 +529,15 @@ def cmd_verify(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
 
 def _sweep_points(cfg: dict, model, /, *, estimator: str, parameter: str,
                   values: list) -> list[tuple]:
-    """(value, params, runner kwargs) of each grid point of a ``sweep``
-    block, each point checked as an estimator block of ``verify`` is."""
+    """The (name, params, runner kwargs) job of each grid point of a
+    ``sweep`` block, each point checked as an estimator block of ``verify`` is."""
     if not values:
         raise ConfigError("sweep grid is empty")
     base = cfg.get("estimators", {}).get(estimator, {})
     points = []
     for value in values:
         params = {**base, parameter: value}
-        points.append((value, params, _estimator_kwargs(estimator, params, model)))
+        points.append((estimator, params, _estimator_kwargs(estimator, params, model)))
     return points
 
 
@@ -545,9 +545,8 @@ def cmd_sweep(cfg: dict, checked: dict, out_dir: Path, threads: int) -> int:
     sim, model, sweep, points = (checked[k] for k in ("sim", "model", "sweep", "points"))
     name = sweep["estimator"]
     # a grid point the estimator rejects or aborts is recorded, and the sweep goes on
-    records = _run_jobs([(name, params, kwargs) for _, params, kwargs in points],
-                        model, sim, threads, rejects=(ValueError,))
-    for rec, (value, _, _) in zip(records, points):
+    records = _run_jobs(points, model, sim, threads, rejects=(ValueError,))
+    for rec, value in zip(records, sweep["values"]):
         rec["sweep_value"] = value
 
     report = {"config": cfg, "versions": _versions(), "records": records}
@@ -624,7 +623,7 @@ def _checked_config(command: str, cfg: dict, seed: int | None) -> dict:
     Returns the checked form of the blocks: ``sim``, ``model``,
     ``constants`` (the report or None), ``metric`` (the table),
     ``jobs`` ((name, params, runner kwargs) of each estimator block),
-    ``sweep`` with its grid ``points``, and ``dump`` (keyword arguments).
+    ``sweep`` with its grid's jobs ``points``, and ``dump`` (keyword arguments).
     Under ``sweep`` the swept estimator's block is checked with each grid
     point instead of on its own, since the grid may supply a required key.
     """
