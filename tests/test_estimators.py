@@ -694,6 +694,16 @@ def test_mckv_weak_interaction_contracts_and_probe_passes():
     assert rep.probe_stat <= 5.0
 
 
+def test_mckv_particle_statistics_keep_their_bits():
+    """The W2 diagnostic reads the particle clouds and draws nothing from
+    their streams, so the cloud's statistics are pinned bit for bit."""
+    rep = mckv_fixed_point(arctan_kernel(1), lambda x: x, 0.05, 256, 4,
+                           SimConfig(dt=1e-2, t_final=2.0, seed=109))
+    assert repr(rep.mean_abs) == "1.2794044023771618"
+    assert repr(rep.probe_stat) == "1.0875794179121625"
+    assert rep.probe_ok
+
+
 def test_mckv_requires_minimum_particles():
     cfg = SimConfig(dt=1e-2, t_final=1.0, seed=31)
     with pytest.raises(ValueError):
