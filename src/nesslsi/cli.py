@@ -652,9 +652,7 @@ def _checked_config(command: str, cfg: dict, seed: int | None) -> dict:
 
 
 def _versions() -> dict:
-    import scipy
-
-    return {"nesslsi": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"nesslsi": __version__, "numpy": np.__version__}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -138,6 +138,8 @@ class KineticModel:
             raise ValueError("k_matrix must be symmetric")
         if self.k_min <= 0:
             raise ValueError("k_matrix must be positive-definite")
+        if self.radius < 0:
+            raise ValueError("radius must be nonnegative")
         if self.lip_outer > self.lip_inner:
             raise ValueError("lip_outer (L2) must not exceed lip_inner (L1)")
         object.__setattr__(self, "k_matrix", K)
@@ -427,6 +429,8 @@ def _scenario_rotating(
     V is a radial compactly-supported bump v_amp * bump(|x|/v_width); the
     split is b0 = f x_perp - x (standard Gaussian reference), b1 = -grad V.
     """
+    if v_width <= 0:
+        raise ValueError("rotating scenario needs v_width > 0")
 
     def grad_v(x: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(x, axis=-1, keepdims=True)

@@ -178,6 +178,38 @@ def gaussian_kinetic_w1_euler(K, dz, dt: float, n_steps: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# McKean-Vlasov competition: dX1 = (-X1 - lam E[1/(1 + (X1 - Y2)^2)]) dt
+# + sqrt(2) dB, and X2 likewise against Y1, coordinate by coordinate
+# ---------------------------------------------------------------------------
+# Each drift is -d/dx [x^2/2 + lam E arctan(x - Y)] with Y the other
+# population, so each stationary law is the Gibbs law of that potential.  The
+# two equations are the same, so both populations share one fixed point.
+
+
+def mckv_stationary_moments(lam: float, n: int = 2001, half_width: float = 10.0,
+                            tol: float = 1e-14, max_iter: int = 200):
+    """Mean and variance of the 1-d law mu(x) ∝ exp(-x^2/2 - lam E arctan(x - Y)),
+    Y ~ mu, by Picard iteration with the trapezoid rule on n grid points."""
+    x = np.linspace(-half_width, half_width, n)
+    w = np.full(n, x[1] - x[0])
+    w[[0, -1]] *= 0.5
+    kernel = np.arctan(x[:, None] - x[None, :]) * w[None, :]
+    mu = np.exp(-0.5 * x * x)
+    mu /= w @ mu
+    for _ in range(max_iter):
+        new = np.exp(-0.5 * x * x - lam * (kernel @ mu))
+        new /= w @ new
+        done = np.max(np.abs(new - mu)) < tol
+        mu = new
+        if done:
+            break
+    else:
+        raise RuntimeError("Picard iteration did not converge")
+    mean = w @ (x * mu)
+    return float(mean), float(w @ ((x - mean) ** 2 * mu))
+
+
+# ---------------------------------------------------------------------------
 # misc oracles
 # ---------------------------------------------------------------------------
 

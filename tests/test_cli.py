@@ -27,7 +27,7 @@ def _constants_config(tmp_path, out):
 
 
 def test_import_leaves_scipy_submodules_unloaded():
-    """Only mckv uses scipy; importing the package and its CLI, building a
+    """The package imports numpy only; importing it and its CLI, building a
     kinetic metric, evaluating rho_star and running the kinetic coupling
     must not load scipy.interpolate or scipy.optimize."""
     src = str(Path(nesslsi.__file__).resolve().parents[1])
@@ -558,6 +558,8 @@ _COUNT_MINIMUMS = [
                  id="hypercontractivity-n_inner"),
     pytest.param("harnack", {"n_paths": 1}, "need n_paths >= 2", id="harnack-n_paths"),
     pytest.param("fk_const", {"n_paths": 0}, "need n_paths >= 1", id="fk_const-n_paths"),
+    pytest.param("mckv", {"n_iters": 0}, "need n_iters >= 2", id="mckv-n_iters-0"),
+    pytest.param("mckv", {"n_iters": 1}, "need n_iters >= 2", id="mckv-n_iters-1"),
 ]
 
 
@@ -575,7 +577,8 @@ def test_count_that_leaves_the_result_undefined_is_rejected_before_any_path(
     monkeypatch.setattr(estimators, "em_path", must_not_run)
     monkeypatch.setattr(estimators, "_integrate", must_not_run)
     out = tmp_path / "out"
-    base = {"scenario": "ou", "sim": {"dt": 0.01, "t_final": 1.0, "seed": 3}}
+    scenario = "competition" if name == "mckv" else "ou"
+    base = {"scenario": scenario, "sim": {"dt": 0.01, "t_final": 1.0, "seed": 3}}
     cfg = _write(tmp_path, {**base, "estimators": {name: params}, "out_dir": str(out)})
     assert main(["verify", "--config", cfg]) == 2
     assert not out.exists()
@@ -751,6 +754,7 @@ def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):
 
 _OU_ONE_SIDED = {"scenario": "ou", "estimators": {"one_sided": {"n_pairs": 64}}}
 _HYPER_BOUND = {"rho": 1.0, "R": 0.0, "sigma": 1.5, "d": 1, "t": 12.0}
+_CONSTANTS = {"L": 0.0, "rho": 1.0, "R": 0.0, "sigma": 1.0, "d": 1}
 _KINETIC_DUMP = {"scenario": "kinetic-quadratic", "model": {"d": 1},
                  "sim": {"dt": 1e-2, "t_final": 0.5, "seed": 1}, "coupling": "kinetic"}
 
@@ -814,6 +818,27 @@ _KINETIC_DUMP = {"scenario": "kinetic-quadratic", "model": {"d": 1},
                  id="dump-constants-key"),
     pytest.param("constants", {"metric": {"k_matrix": [[1.0]]}, "sim": {"dtt": 0.1}},
                  id="constants-sim-key"),
+    # values out of a model's, a metric's or a constants block's range
+    pytest.param("verify", {**_OU_ONE_SIDED, "model": {"sigma": -1}}, id="ou-sigma"),
+    pytest.param("verify", {**_OU_ONE_SIDED, "model": {"rate": 0}}, id="ou-rate"),
+    pytest.param("verify", {**_OU_ONE_SIDED, "model": {"declared_rho": 0}},
+                 id="ou-declared-rho"),
+    pytest.param("verify", {**_OU_ONE_SIDED, "scenario": "rotating", "model": {"v_width": 0}},
+                 id="rotating-v-width"),
+    pytest.param("dump-trajectories", {**_KINETIC_DUMP, "model": {"d": 1, "radius": -1}},
+                 id="kinetic-radius"),
+    pytest.param("constants", {"metric": {"k_matrix": [[1.0, 0.0]]}}, id="metric-k-not-square"),
+    pytest.param("constants", {"metric": {"k_matrix": [[-1.0]]}}, id="metric-k-not-pd"),
+    pytest.param("constants", {"metric": {"k_matrix": [[1.0]], "lip_outer": -0.01}},
+                 id="metric-lip-outer"),
+    pytest.param("constants", {"metric": {"k_matrix": [[1.0]], "quad_tol": 0}},
+                 id="metric-quad-tol"),
+    pytest.param("constants", {"metric": {"k_matrix": [[1.0]], "n_smooth": 0}},
+                 id="metric-n-smooth"),
+    pytest.param("constants", {"constants": {**_CONSTANTS, "rho": 0}}, id="constants-rho"),
+    pytest.param("constants", {"constants": {**_CONSTANTS, "L": -1}}, id="constants-L"),
+    pytest.param("constants", {"constants": {**_CONSTANTS, "R": 1}},
+                 id="constants-R-without-sup-inner"),
 ])
 def test_config_schema_errors_exit_2_before_running(tmp_path, capsys, command, payload):
     """Each block is checked against the signature of the function it feeds

@@ -14,6 +14,7 @@ from nesslsi.estimators import (
     EstimatorDiverged,
     UnstableLogError,
     WeightOverflowError,
+    _w2_coordinatewise,
     coalescence_probability,
     defective_lsi_check,
     elliptic_fk_system,
@@ -27,12 +28,12 @@ from nesslsi.estimators import (
     mollified_split,
     u_lipschitz_scan,
     w1_contraction,
-    wasserstein2_subsampled,
 )
 from oracles import (
     clipped_exp_expectation,
     gaussian_expectation,
     gauss_quad,
+    mckv_stationary_moments,
     ou_hyper_ratio,
     ou_transition,
     scalar_radial_sde,
@@ -668,13 +669,65 @@ def test_defective_lsi_matches_quadrature_oracle(ou1, case):
 # ---------------------------------------------------------------------------
 
 
-def test_w2_subsampled_matches_sorted_oracle_1d():
+def _w2_assignment(a, b):
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    rows, cols = linear_sum_assignment(cost)
+    return math.sqrt(cost[rows, cols].mean())
+
+
+def test_w2_coordinatewise_is_the_assignment_w2_in_1d_and_below_it_in_2d():
     gen = np.random.default_rng(1)
     a = gen.standard_normal((128, 1))
     b = gen.standard_normal((128, 1)) + 0.3
-    got = wasserstein2_subsampled(a, b, k=128, draws=1, seed=0)
-    oracle = math.sqrt(np.mean((np.sort(a[:, 0]) - np.sort(b[:, 0])) ** 2))
-    assert abs(got - oracle) < 1e-10
+    assert abs(_w2_coordinatewise(a, b) - _w2_assignment(a, b)) < 1e-10
+    # a correlated cloud against an independent one: the coordinate sum
+    # misses the correlation, so it lies strictly below the joint W2
+    z = gen.standard_normal((128, 1))
+    a = np.hstack([z, z + 0.1 * gen.standard_normal((128, 1))])
+    b = gen.standard_normal((128, 2))
+    assert _w2_coordinatewise(a, b) < _w2_assignment(a, b)
+
+
+def test_mckv_flags_an_expanding_cloud_as_not_converged():
+    """With a confinement that pushes outward the Picard steps grow, and the
+    W2 check says so."""
+    rep = mckv_fixed_point(arctan_kernel(1), lambda x: -0.5 * x, 0.05, 256, 3,
+                           SimConfig(dt=1e-2, t_final=3.0, seed=31))
+    assert rep.w2_distances[0] < rep.w2_distances[1] < rep.w2_distances[2]
+    assert not rep.converged
+
+
+_MCKV_ORACLE_SEED = 211
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_mckv_particles_match_the_stationary_fixed_point(monkeypatch, lam):
+    """Each coordinate of the final cloud has the mean and variance of the
+    1-d McKean-Vlasov fixed point, within 3 stderr."""
+    from nesslsi import estimators
+
+    clouds = []
+
+    def em_path(*args, _run=estimators.em_path, **kwargs):
+        run = _run(*args, **kwargs)
+        clouds.append(run.terminal)
+        return run
+
+    monkeypatch.setattr(estimators, "em_path", em_path)
+    mckv_fixed_point(arctan_kernel(1), lambda x: x, lam, 256, 4,
+                     SimConfig(dt=1e-2, t_final=3.0, seed=_MCKV_ORACLE_SEED))
+    assert len(clouds) == 4
+    mean, var = mckv_stationary_moments(lam)
+    cloud = clouds[-1]
+    n = cloud.shape[0]
+    for x in cloud.T:
+        centred = x - x.mean()
+        m2 = np.mean(centred**2)
+        m4 = np.mean(centred**4)
+        assert abs(x.mean() - mean) <= 3.0 * math.sqrt(m2 / n)
+        assert abs(x.var(ddof=1) - var) <= 3.0 * math.sqrt((m4 - m2 * m2) / n)
 
 
 def test_mckv_decoupled_reaches_sampling_floor():

@@ -1,5 +1,6 @@
 """Every name that a module of the package imports is used in that module,
-and every name in a module's ``__all__`` is bound in that module.
+every name in a module's ``__all__`` is bound in that module, and no module
+imports scipy: numpy is the package's only runtime dependency.
 
 No linter ships with the package's test dependencies, so this check parses
 each module with the standard ``ast`` module.  ``__init__.py`` is left out
@@ -64,3 +65,31 @@ def test_unbound_export_check_sees_a_stale_name():
 @pytest.mark.parametrize("module", sorted(p.name for p in _PACKAGE.glob("*.py")))
 def test_module_all_names_are_bound(module):
     assert _unbound_exports((_PACKAGE / module).read_text()) == []
+
+
+def _scipy_imports(source: str) -> list[int]:
+    """Line numbers of the imports of scipy or a scipy submodule, at any depth."""
+    tree = ast.parse(source)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_import_check_sees_nested_imports():
+    source = ("import scipy.special\nimport scipyx\n"
+              "def f():\n    from scipy.optimize import linear_sum_assignment\n"
+              "    import os, scipy\n")
+    assert _scipy_imports(source) == [1, 4, 5]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in _PACKAGE.glob("*.py")))
+def test_module_imports_no_scipy(module):
+    assert _scipy_imports((_PACKAGE / module).read_text()) == []

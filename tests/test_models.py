@@ -108,6 +108,13 @@ def test_derive_fields_requires_reference():
         derive_elliptic_fields(m)
 
 
+def test_elliptic_and_kinetic_models_reject_a_negative_radius():
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        EllipticModel(d=1, drift=lambda x: -x, sigma=1.0, rho=1.0, radius=-1.0)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        make_scenario("kinetic-quadratic", {"d": 1, "radius": -1.0})
+
+
 def test_competition_drift_zero_kernel():
     k = CompetitionKernel(
         p=1,
